@@ -11,11 +11,17 @@ division-based entries are exact double-precision quotients.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
-from blowup_lab.core import MIXED, OBLIQUE, PURE_Z, State
-from blowup_lab.simulator import exceptional_exponent, is_monomial_phase, monic_z_orders
+from blowup_lab.core import MIXED, OBLIQUE, PURE_Z, IdealSpec, State, VariableSet
+from blowup_lab.simulator import (
+    MEMO_ENTRIES,
+    exceptional_exponent,
+    is_monomial_phase,
+    monic_z_orders,
+)
 
 #: Column names for trace export, indexed 0..25.
 FEATURE_NAMES = (
@@ -55,6 +61,8 @@ NUM_FEATURES = 26
 JACOBIAN_SENTINEL = 1000.0
 
 _SHADE_TAGS = (MIXED, OBLIQUE)
+
+_EMPTY_IDEAL_FEATURES = tuple(1.0 if i == 9 else 0.0 for i in range(NUM_FEATURES))
 
 
 def _nu_p(n: int, p: int) -> int:
@@ -110,32 +118,49 @@ def weighted_order_proxy(state: State) -> float:
     minimum, or 0 when no monomial qualifies.  Excluding the monic z-power is
     essential: otherwise the minimum is trivially 0 on monic inputs.
     """
-    vars = state.vars
-    z = vars.elim_index
     if not state.ideal:
         raise ValueError("weighted order proxy of an empty ideal is undefined")
-    f0 = exceptional_exponent(state.ideal, z)
+    terms = _weighted_order_terms(state.ideal, state.vars)
+    return _weighted_order(terms, _base_multiplicities(state))
+
+
+def _weighted_order_terms(
+    ideal: IdealSpec, vars: VariableSet
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # (base exponents, divisor) of each monomial weighted_order_proxy ranges over
+    z = vars.elim_index
+    f0 = exceptional_exponent(ideal, z)
+    skip = next(
+        (
+            idx
+            for idx, m in enumerate(ideal)
+            if m.tag == PURE_Z
+            and m.exponents[z] == f0
+            and all(v == 0 for i, v in enumerate(m.exponents) if i != z)
+        ),
+        None,
+    )
+    return tuple(
+        (tuple(m.exponents[i] for i in vars.base_indices), m.exponents[z] or f0)
+        for idx, m in enumerate(ideal)
+        if idx != skip
+    )
+
+
+def _weighted_order(terms: tuple, base_mult: tuple[int, ...]) -> float:
+    return min(
+        (
+            sum(a - b for a, b in zip(exps, base_mult) if a > b) / divisor
+            for exps, divisor in terms
+        ),
+        default=0.0,
+    )
+
+
+def _base_multiplicities(state: State) -> tuple[int, ...]:
     mult = state.boundary.multiplicities
-
-    skip = None
-    for idx, m in enumerate(state.ideal):
-        e = m.exponents
-        if (
-            m.tag == PURE_Z
-            and e[z] == f0
-            and all(v == 0 for i, v in enumerate(e) if i != z)
-        ):
-            skip = idx
-            break
-
-    values = []
-    for idx, m in enumerate(state.ideal):
-        if idx == skip:
-            continue
-        e = m.exponents
-        residual = sum(max(0, e[i] - mult[i]) for i in range(vars.dim) if i != z)
-        values.append(residual / e[z] if e[z] > 0 else residual / f0)
-    return min(values) if values else 0.0
+    z = state.vars.elim_index
+    return mult[:z] + mult[z + 1 :]
 
 
 def hilbert_samuel_base(state: State) -> int:
@@ -163,23 +188,42 @@ def extract_features(
 
     The empty ideal yields the all-zero vector with the monomial-phase flag
     set.  allowed_tags feeds the monomial-phase detector only and is disabled
-    by default.
+    by default.  Everything but f4, f8, f14 and f25 reads the ideal alone and
+    comes from a process-wide memo of MEMO_ENTRIES distinct ideals; those
+    four are integer arithmetic on the boundary.
     """
-    vars = state.vars
+    if not state.ideal:
+        return _EMPTY_IDEAL_FEATURES
+    tags = frozenset(allowed_tags) if allowed_tags is not None else None
+    values, min_base, weighted = _ideal_features(state.ideal, state.vars, tags)
+    base_mult = _base_multiplicities(state)
+    fv = list(values)
+    fv[4] = float(state.boundary.positive_count)
+    fv[8] = float(min(sum(map(min, e, base_mult)) for e in min_base))
+    fv[14] = _weighted_order(weighted, base_mult)
+    fv[25] = float(state.boundary.mass)
+    return tuple(fv)
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _ideal_features(
+    ideal: IdealSpec, vars: VariableSet, allowed_tags: Optional[frozenset[str]]
+) -> tuple[tuple[float, ...], tuple, tuple]:
+    """The boundary-free part of extract_features on a nonempty ideal.
+
+    Returns the 26 entries with f4, f8, f14 and f25 left at 0.0, the base
+    exponents of the minimal-degree monomials (for f8), and the base
+    exponents and divisor of every monomial weighted_order_proxy ranges over
+    (for f14).
+    """
     p = vars.char_p
     z = vars.elim_index
     base_idx = vars.base_indices
-    mult = state.boundary.multiplicities
-    monomials = state.ideal.monomials
-
-    if not monomials:
-        values = [0.0] * NUM_FEATURES
-        values[9] = 1.0
-        return tuple(values)
+    monomials = ideal.monomials
 
     exps = [m.exponents for m in monomials]
     degrees = [sum(e) for e in exps]
-    exc = exceptional_exponent(state.ideal, z)
+    exc = exceptional_exponent(ideal, z)
     m_min = [e for e, d in zip(exps, degrees) if d == exc]
     base = [(e, d) for e, d in zip(exps, degrees) if e[z] == 0]
 
@@ -190,7 +234,6 @@ def extract_features(
     touched = {i for e in m_min for i in range(vars.dim) if e[i] > 0}
     f2 = vars.dim - len(touched)
     f3 = len(m_min)
-    f4 = state.boundary.positive_count
     f5 = sum(
         1
         for m, d in zip(monomials, degrees)
@@ -199,13 +242,12 @@ def extract_features(
     f6 = 1 if all(e[i] % p == 0 for e in exps for i in range(vars.dim)) else 0
 
     # exc equals the minimal pure z-order exactly when a pure z-power exists
-    if monic_z_orders(state.ideal, z):
+    if monic_z_orders(ideal, z):
         f7 = f0 / f1 if f1 > 0 else float(f0)
     else:
         f7 = 0.0
 
-    f8 = min(sum(min(e[i], mult[i]) for i in base_idx) for e in m_min)
-    f9 = 1 if is_monomial_phase(state.ideal, allowed_tags, z) else 0
+    f9 = 1 if is_monomial_phase(ideal, allowed_tags, z) else 0
     f10 = 1 if all(e[i] % p == 0 for e in m_min for i in range(vars.dim)) else 0
     f11 = float(f0) if f1 == 0 else 1.0 / (1.0 + abs(f0 - f1))
 
@@ -222,7 +264,6 @@ def extract_features(
     ]
     f13 = max(pure_base_exps) if pure_base_exps else 0
 
-    f14 = weighted_order_proxy(state)
     f15 = sum(1 for j in base_idx if all(e[j] == 0 for e in base_min))
     z_orders = [e[z] for e in exps if e[z] > 0]
     f16 = min(z_orders) if z_orders else 0
@@ -236,7 +277,7 @@ def extract_features(
     touched_base = {i for e in base_min for i in base_idx if e[i] > 0}
     f19 = len(base_idx) - len(touched_base)
     f20 = len(base_min)
-    f21 = hilbert_samuel_base(state)
+    f21 = hilbert_samuel_base(State.initial(ideal, vars))
 
     jac_orders = [
         sum(e) - 1 for e in exps for i in range(vars.dim) if e[i] > 0 and e[i] % p != 0
@@ -244,24 +285,23 @@ def extract_features(
     f22 = min(jac_orders) if jac_orders else JACOBIAN_SENTINEL
     f23 = len(jac_orders)
     f24 = min(_nu_p(e[i], p) for e in m_min for i in range(vars.dim) if e[i] > 0)
-    f25 = state.boundary.mass
 
-    return (
+    values = (
         float(f0),
         float(f1),
         float(f2),
         float(f3),
-        float(f4),
+        0.0,
         float(f5),
         float(f6),
         float(f7),
-        float(f8),
+        0.0,
         float(f9),
         float(f10),
         f11,
         float(f12),
         float(f13),
-        f14,
+        0.0,
         float(f15),
         float(f16),
         float(f17),
@@ -272,5 +312,7 @@ def extract_features(
         float(f22),
         float(f23),
         float(f24),
-        float(f25),
+        0.0,
     )
+    min_base = tuple(tuple(e[i] for i in base_idx) for e in m_min)
+    return values, min_base, _weighted_order_terms(ideal, vars)

@@ -63,8 +63,6 @@ class ComponentSpec:
         return total
 
     def initial_weights(self) -> tuple[float, ...]:
-        if self.kind == DEPTH_CHARGE:
-            return tuple(w for _, w in self.terms)
         return tuple(w for _, w in self.terms)
 
 

@@ -10,15 +10,23 @@ variable) or after a fixed cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
-from blowup_lab.core import PURE_Z, Boundary, IdealSpec, State, TaggedMonomial
+from blowup_lab.core import PURE_Z, Boundary, IdealSpec, State, TaggedMonomial, VariableSet
 
 CODIM2 = "codim2"
 DIVISOR_Z = "divisor_z"
 
 DEFAULT_CAP = 30
 DEFAULT_WINDOW = 5
+
+#: Distinct ideals kept by each process-wide memo: the chart rewrite below and
+#: the ideal part of the feature vector.  Trajectories mostly end in a
+#: fixed-ideal tail, so a few hundred ideals cover a whole suite (focused71
+#: has 186) at a cost of about 1 MB; an unbounded memo grows with every ideal
+#: a process ever sees.
+MEMO_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -130,29 +138,36 @@ def step(state: State) -> tuple[State, Center, int]:
     """
     vars = state.vars
     z = vars.elim_index
-    exc = exceptional_exponent(state.ideal, z)
-    center = select_center(state)
+    ideal, center, exc = _chart(state.ideal, vars)
     v = center.var_index
     keep = {v, z} if center.kind == CODIM2 else {z}
 
     mult = [m if i in keep else 0 for i, m in enumerate(state.boundary.multiplicities)]
     mult[v] += exc
 
+    new_state = State(ideal=ideal, boundary=Boundary(tuple(mult)), vars=vars)
+    return new_state, center, exc
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]:
+    # the part of step() that reads only the ideal: (rewritten ideal, center,
+    # exceptional exponent); a fixed-ideal tail maps its ideal to one shared
+    # IdealSpec object
+    z = vars.elim_index
+    exc = exceptional_exponent(ideal, z)
+    center = select_center(State.initial(ideal, vars))
+    v = center.var_index
+
     transformed = []
-    for m in state.ideal:
+    for m in ideal:
         e = list(m.exponents)
         if e[z] > 0:
             e[v] += e[z]
         e[v] = max(0, e[v] - exc)
         if any(e):
             transformed.append(TaggedMonomial(tag=m.tag, exponents=tuple(e)))
-
-    new_state = State(
-        ideal=IdealSpec(tuple(transformed)),
-        boundary=Boundary(tuple(mult)),
-        vars=vars,
-    )
-    return new_state, center, exc
+    return IdealSpec(tuple(transformed)), center, exc
 
 
 def is_monomial_phase(

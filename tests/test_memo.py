@@ -1,0 +1,102 @@
+"""Differential tests of the ideal-keyed memos against the plain computation.
+
+The uncached path is the memoized function's own ``__wrapped__``, swapped in
+for the module attribute its caller looks up, so both sides run the same
+code and differ only in the memo.
+"""
+
+from __future__ import annotations
+
+from unittest.mock import patch
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blowup_lab import features, simulator
+from blowup_lab.benchmarks import generate_broad_surrogates
+from blowup_lab.core import (
+    MIXED,
+    OBLIQUE,
+    PURE_BASE,
+    PURE_Z,
+    Boundary,
+    IdealSpec,
+    State,
+    TaggedMonomial,
+    VariableSet,
+    infer_tag,
+)
+from blowup_lab.features import extract_features, weighted_order_proxy
+from blowup_lab.harness import HarnessConfig, score_benchmark
+from blowup_lab.rankers import get_ranker
+from blowup_lab.simulator import MEMO_ENTRIES, run_trajectory
+
+_TAGS = (PURE_Z, PURE_BASE, MIXED, OBLIQUE, "custom")
+
+
+@st.composite
+def _states(draw):
+    dim = draw(st.integers(3, 5))
+    vars = VariableSet.standard(dim, draw(st.sampled_from((2, 3, 5))))
+    exponents = st.tuples(*[st.integers(0, 7)] * dim).filter(any)
+    monomials = []
+    for e in draw(st.lists(exponents, min_size=1, max_size=6)):
+        # mostly the inferred tag, so monic z-powers occur; sometimes another
+        tag = draw(st.sampled_from((infer_tag(e, vars),) * 3 + _TAGS))
+        monomials.append(TaggedMonomial(tag, e))
+    boundary = draw(st.tuples(*[st.integers(0, 12)] * dim))
+    return State(IdealSpec(tuple(monomials)), Boundary(boundary), vars)
+
+
+_allowed_tags = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(_TAGS), unique=True).flatmap(
+        lambda tags: st.sampled_from((tuple(tags), list(tags)))
+    ),
+)
+
+
+def _hex(fv):
+    return [v.hex() for v in fv]
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=_states(), allowed_tags=_allowed_tags)
+def test_memoized_features_match_uncached(state, allowed_tags):
+    # warm the memo with the same ideal under another boundary, other tags and
+    # another characteristic, so a key that missed a field would hand back the
+    # wrong entry
+    other_p = VariableSet(state.vars.names, state.vars.elim_index, 7)
+    extract_features(State.initial(state.ideal, other_p), allowed_tags)
+    extract_features(State.initial(state.ideal, state.vars), None)
+    extract_features(State.initial(state.ideal, state.vars), ())
+    memoized = extract_features(state, allowed_tags)
+    with patch.object(features, "_ideal_features", features._ideal_features.__wrapped__):
+        plain = extract_features(state, allowed_tags)
+    assert _hex(memoized) == _hex(plain)
+    assert memoized[14] == weighted_order_proxy(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=_states(), cap=st.integers(0, 40), allowed_tags=_allowed_tags)
+def test_step_memo_matches_uncached_chart(state, cap, allowed_tags):
+    memoized = run_trajectory(state, cap, allowed_tags)
+    with patch.object(simulator, "_chart", simulator._chart.__wrapped__):
+        plain = run_trajectory(state, cap, allowed_tags)
+    assert memoized.states == plain.states
+    assert memoized.centers == plain.centers
+    assert memoized.excs == plain.excs
+    assert memoized.monomial_step == plain.monomial_step
+
+
+def test_memos_stay_within_their_bound():
+    memos = (simulator._chart, features._ideal_features)
+    for memo in memos:
+        memo.cache_clear()
+    cases = generate_broad_surrogates(1, 200)
+    score_benchmark(get_ranker("r100"), cases, HarnessConfig(cap=120))
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_ENTRIES
+        assert info.misses > MEMO_ENTRIES  # the bound was actually reached
+        assert info.currsize <= MEMO_ENTRIES
