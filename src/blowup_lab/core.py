@@ -173,10 +173,11 @@ class State:
     vars: VariableSet
 
     def __post_init__(self) -> None:
-        if len(self.boundary.multiplicities) != self.vars.dim:
+        dim = self.vars.dim
+        if len(self.boundary.multiplicities) != dim:
             raise ValueError("boundary is not indexed over the variable set")
         for m in self.ideal:
-            if len(m.exponents) != self.vars.dim:
+            if len(m.exponents) != dim:
                 raise ValueError("monomial is not indexed over the variable set")
 
     @classmethod

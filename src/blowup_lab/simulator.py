@@ -22,10 +22,12 @@ DEFAULT_CAP = 30
 DEFAULT_WINDOW = 5
 
 #: Distinct ideals kept by each process-wide memo: the chart rewrite below and
-#: the ideal part of the feature vector.  Trajectories mostly end in a
-#: fixed-ideal tail, so a few hundred ideals cover a whole suite (focused71
-#: has 186) at a cost of about 1 MB; an unbounded memo grows with every ideal
-#: a process ever sees.
+#: the ideal part of the feature vector, at a cost of about 1 MB.  This holds
+#: the fixed-ideal tail every trajectory mostly ends in, and a whole suite only
+#: when it has at most this many distinct ideals: focused71 has 186, but
+#: extended100 has 412, so scoring it under several rankers in a row recomputes
+#: each of its ideals once per ranker.  A larger bound costs peak memory; an
+#: unbounded memo grows with every ideal a process ever sees.
 MEMO_ENTRIES = 256
 
 

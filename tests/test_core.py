@@ -155,6 +155,9 @@ def test_state_validates_indexing(vars4):
     ideal = parse_polynomial("z^3", vars4)
     with pytest.raises(ValueError):
         State(ideal, Boundary((0, 0, 0)), vars4)
+    short = IdealSpec(ideal.monomials + (TaggedMonomial(PURE_BASE, (2, 0, 0)),))
+    with pytest.raises(ValueError):
+        State(short, Boundary((0, 0, 0, 0)), vars4)
     with pytest.raises(ValueError):
         Boundary((-1, 0, 0, 0))
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup_lab.core import (
     Boundary,
@@ -17,6 +21,7 @@ from blowup_lab.features import (
     FEATURE_NAMES,
     JACOBIAN_SENTINEL,
     NUM_FEATURES,
+    _minimalize,
     extract_features,
     hilbert_samuel_base,
     standard_monomial_count,
@@ -123,6 +128,53 @@ def test_standard_monomial_count_brute_force_fuzz():
         assert standard_monomial_count(generators, num_vars, bound) == (
             _brute_force_standard_count(generators, num_vars, bound)
         )
+
+
+def _inclusion_exclusion_oracle(generators, num_vars, degree_bound):
+    # the former standard_monomial_count: every one of the 2^k subsets
+    if degree_bound <= 0:
+        return 0
+    top = degree_bound - 1
+    total = math.comb(top + num_vars, num_vars)
+    gens = _minimalize([tuple(g) for g in generators])
+    divisible = 0
+    for size in range(1, len(gens) + 1):
+        sign = 1 if size % 2 == 1 else -1
+        for subset in combinations(gens, size):
+            join = tuple(max(col) for col in zip(*subset))
+            slack = top - sum(join)
+            if slack >= 0:
+                divisible += sign * math.comb(slack + num_vars, num_vars)
+    return total - divisible
+
+
+@st.composite
+def _count_inputs(draw):
+    num_vars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 9)] * num_vars)
+    generators = draw(st.lists(exponents, max_size=7))
+    # duplicates and multiples of drawn generators, which _minimalize drops
+    if generators:
+        for g in draw(st.lists(st.sampled_from(generators), max_size=3)):
+            generators.append(tuple(v + draw(st.integers(0, 2)) for v in g))
+    return generators, num_vars, draw(st.integers(-1, 25))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_count_inputs())
+def test_standard_monomial_count_matches_full_inclusion_exclusion(inputs):
+    assert standard_monomial_count(*inputs) == _inclusion_exclusion_oracle(*inputs)
+
+
+def test_hilbert_samuel_of_25_same_degree_generators(vars4):
+    # 2^25 subsets for the full inclusion-exclusion; every pair here already
+    # joins above the degree bound
+    base = [(a, b, 8 - a - b) for a in range(9) for b in range(9 - a)][:25]
+    exps = [(0, 0, 0, 3)] + [(a, b, c, 0) for a, b, c in base]
+    ideal = IdealSpec(tuple(TaggedMonomial(infer_tag(e, vars4), e) for e in exps))
+    state = State.initial(ideal, vars4)
+    assert hilbert_samuel_base(state) == math.comb(11, 3) - 25
+    assert extract_features(state)[21] == 140.0
 
 
 def test_f2_complements_touched_variables(vars4):
