@@ -128,6 +128,20 @@ class IdealSpec:
 
     monomials: tuple[TaggedMonomial, ...]
 
+    def __post_init__(self) -> None:
+        # every memo lookup hashes the spec, and every State built on it checks
+        # the exponent lengths: derive both once per spec
+        object.__setattr__(self, "_hash", hash((self.monomials,)))
+        object.__setattr__(self, "_lengths", frozenset(len(m.exponents) for m in self.monomials))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes differ between processes, so
+        # the cached hash must not travel in a pickle
+        return (IdealSpec, (self.monomials,))
+
     def __len__(self) -> int:
         return len(self.monomials)
 
@@ -176,9 +190,8 @@ class State:
         dim = self.vars.dim
         if len(self.boundary.multiplicities) != dim:
             raise ValueError("boundary is not indexed over the variable set")
-        for m in self.ideal:
-            if len(m.exponents) != dim:
-                raise ValueError("monomial is not indexed over the variable set")
+        if not self.ideal._lengths <= {dim}:
+            raise ValueError("monomial is not indexed over the variable set")
 
     @classmethod
     def initial(cls, ideal: IdealSpec, vars: VariableSet) -> "State":

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.features import extract_features
-from blowup_lab.rankers import get_ranker, lex_compare
+from blowup_lab.rankers import get_ranker
 from blowup_lab.simulator import DEFAULT_CAP, DEFAULT_WINDOW, Trajectory, run_trajectory
 
 FLAG_DELAY = 1
@@ -97,21 +97,22 @@ class TrajectoryAudit:
     best_improved: tuple[bool, ...]
 
 
-def _is_malformed(rank) -> bool:
+def _as_rank(rank) -> Optional[tuple]:
+    """The rank as a tuple, or None when it is malformed."""
     if rank is None:
-        return True
+        return None
     try:
         values = tuple(rank)
     except TypeError:
-        return True
+        return None
     if not values:
-        return True
+        return None
     for v in values:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            return True
+            return None
         if not math.isfinite(v):
-            return True
-    return False
+            return None
+    return values
 
 
 def audit_trajectory(
@@ -129,10 +130,8 @@ def audit_trajectory(
     n = len(ranks)
     tau = next((t for t in range(n) if features[t][9] == 1), n)
 
-    structural = any(_is_malformed(r) for r in ranks) or any(
-        len(tuple(r)) != len(tuple(ranks[0])) for r in ranks
-    )
-    if structural:
+    ranks = [_as_rank(r) for r in ranks]
+    if None in ranks or any(len(r) != len(ranks[0]) for r in ranks):
         report = ViolationReport(
             name=name,
             total_violations=cfg.structural_penalty,
@@ -144,13 +143,17 @@ def audit_trajectory(
             local_increases=0,
             max_plateau=0,
             solved=False,
-            rank_stream=tuple(tuple(r) if r is not None and not _is_malformed(r) else None for r in ranks),
+            rank_stream=tuple(ranks),
             best_stream=(),
         )
         return TrajectoryAudit(report=report, step_flags=(0,) * n, best_improved=(False,) * n)
 
-    ranks = [tuple(r) for r in ranks]
     flags = [0] * n
+
+    # order[t - 1] compares ranks[t] with ranks[t - 1] (-1, 0 or +1).  Native
+    # tuple order equals lex_compare here: the ranks passed the gate above, so
+    # they are equal-length tuples of finite ints and floats.
+    order = [-1 if a < b else int(a != b) for a, b in zip(ranks[1:], ranks)]
 
     # normalization: first component is 0 exactly in monomial phase
     normalization = 0
@@ -168,7 +171,7 @@ def audit_trajectory(
     last_improve = 0
     delay = 0
     for t in range(1, n):
-        if lex_compare(ranks[t], best) < 0:
+        if ranks[t] < best:
             best = ranks[t]
             last_improve = t
             improved[t] = True
@@ -183,7 +186,7 @@ def audit_trajectory(
     align_f0_count = 0
     align_f14_count = 0
     for t in range(1, align_hi + 1):
-        decreased = lex_compare(ranks[t], ranks[t - 1]) < 0
+        decreased = order[t - 1] < 0
         if features[t][0] < features[t - 1][0] and not decreased:
             align_f0_count += 1
             flags[t] |= FLAG_ALIGN_F0
@@ -193,16 +196,11 @@ def audit_trajectory(
 
     # diagnostics over the whole stream; a plateau is counted as the number
     # of consecutive indices whose rank repeats the previous one
-    local_increases = sum(
-        1 for t in range(1, n) if lex_compare(ranks[t], ranks[t - 1]) > 0
-    )
+    local_increases = order.count(1)
     max_plateau = 0
     run_length = 0
-    for t in range(1, n):
-        if lex_compare(ranks[t], ranks[t - 1]) == 0:
-            run_length += 1
-        else:
-            run_length = 0
+    for c in order:
+        run_length = run_length + 1 if c == 0 else 0
         max_plateau = max(max_plateau, run_length)
 
     align_f0 = cfg.heavy_weight * align_f0_count

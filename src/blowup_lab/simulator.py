@@ -22,13 +22,15 @@ DEFAULT_CAP = 30
 DEFAULT_WINDOW = 5
 
 #: Distinct ideals kept by each process-wide memo: the chart rewrite below and
-#: the ideal part of the feature vector, at a cost of about 1 MB.  This holds
-#: the fixed-ideal tail every trajectory mostly ends in, and a whole suite only
-#: when it has at most this many distinct ideals: focused71 has 186, but
-#: extended100 has 412, so scoring it under several rankers in a row recomputes
-#: each of its ideals once per ranker.  A larger bound costs peak memory; an
-#: unbounded memo grows with every ideal a process ever sees.
-MEMO_ENTRIES = 256
+#: the ideal part of the feature vector.  This holds the fixed-ideal tail every
+#: trajectory mostly ends in, and every builtin suite whole (focused71 has 186
+#: distinct ideals, extended100 412), so scoring a suite under several rankers
+#: in a row computes each ideal once: the benchmark's builtin_sweep misses the
+#: feature memo 555 times per pass, once per distinct ideal, where a bound of
+#: 256 cycled on extended100 and missed 1,771 times.  Against 256 the bound
+#: costs about 0.9 MB of peak RSS (23.5 -> 24.3 MB, +3.7%, on surrogate_long);
+#: an unbounded memo grows with every ideal a process ever sees.
+MEMO_ENTRIES = 512
 
 
 @dataclass(frozen=True)
@@ -235,11 +237,14 @@ def run_trajectory(
     else:
         current = initial
         for k in range(cap):
+            previous = current.ideal
             current, center, exc = step(current)
             states.append(current)
             centers.append(center)
             excs.append(exc)
-            if is_monomial_phase(current.ideal, allowed_tags, z):
+            # the memoized chart hands a fixed-ideal tail back its own ideal
+            # object, which already failed the check one step earlier
+            if current.ideal is not previous and is_monomial_phase(current.ideal, allowed_tags, z):
                 monomial_step = k + 1
                 break
 

@@ -1,0 +1,218 @@
+"""Differential test of ``audit_trajectory`` against its lex_compare form.
+
+``_reference_audit`` keeps the audit as it was written before it compared
+ranks in native tuple order, once per consecutive pair: every comparison goes
+through ``lex_compare`` and each pass makes its own.  The two must agree on
+every report field and on the per-step detail.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blowup_lab.harness import (
+    FLAG_ALIGN_F0,
+    FLAG_ALIGN_F14,
+    FLAG_DELAY,
+    FLAG_NORMALIZATION,
+    HarnessConfig,
+    TrajectoryAudit,
+    ViolationReport,
+    audit_trajectory,
+)
+from blowup_lab.rankers import lex_compare
+
+
+def _reference_is_malformed(rank) -> bool:
+    if rank is None:
+        return True
+    try:
+        values = tuple(rank)
+    except TypeError:
+        return True
+    if not values:
+        return True
+    for v in values:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            return True
+        if not math.isfinite(v):
+            return True
+    return False
+
+
+def _reference_audit(
+    ranks: Sequence,
+    features: Sequence[Sequence[float]],
+    cfg: HarnessConfig,
+    name: str = "case",
+) -> TrajectoryAudit:
+    if len(ranks) != len(features):
+        raise ValueError("rank and feature streams must have equal length")
+    if not ranks:
+        raise ValueError("empty trajectory")
+
+    n = len(ranks)
+    tau = next((t for t in range(n) if features[t][9] == 1), n)
+
+    structural = any(_reference_is_malformed(r) for r in ranks) or any(
+        len(tuple(r)) != len(tuple(ranks[0])) for r in ranks
+    )
+    if structural:
+        report = ViolationReport(
+            name=name,
+            total_violations=cfg.structural_penalty,
+            delay_violations=0,
+            normalization_violations=0,
+            align_f0=0.0,
+            align_f14=0.0,
+            structural_failure=True,
+            local_increases=0,
+            max_plateau=0,
+            solved=False,
+            rank_stream=tuple(
+                tuple(r) if r is not None and not _reference_is_malformed(r) else None
+                for r in ranks
+            ),
+            best_stream=(),
+        )
+        return TrajectoryAudit(report=report, step_flags=(0,) * n, best_improved=(False,) * n)
+
+    ranks = [tuple(r) for r in ranks]
+    flags = [0] * n
+
+    normalization = 0
+    for t in range(n):
+        monomial = features[t][9] == 1
+        ok = (ranks[t][0] == 0) if monomial else (ranks[t][0] > 0)
+        if not ok:
+            normalization += 1
+            flags[t] |= FLAG_NORMALIZATION
+
+    best = ranks[0]
+    best_stream = [best]
+    improved = [True] + [False] * (n - 1)
+    last_improve = 0
+    delay = 0
+    for t in range(1, n):
+        if lex_compare(ranks[t], best) < 0:
+            best = ranks[t]
+            last_improve = t
+            improved[t] = True
+        best_stream.append(best)
+        if t < tau and t - last_improve >= cfg.window:
+            if cfg.delay_per_step or t - last_improve == cfg.window:
+                delay += 1
+                flags[t] |= FLAG_DELAY
+
+    align_hi = min(tau if cfg.align_at_entry else tau - 1, n - 1)
+    align_f0_count = 0
+    align_f14_count = 0
+    for t in range(1, align_hi + 1):
+        decreased = lex_compare(ranks[t], ranks[t - 1]) < 0
+        if features[t][0] < features[t - 1][0] and not decreased:
+            align_f0_count += 1
+            flags[t] |= FLAG_ALIGN_F0
+        if features[t][14] < features[t - 1][14] and not decreased:
+            align_f14_count += 1
+            flags[t] |= FLAG_ALIGN_F14
+
+    local_increases = sum(
+        1 for t in range(1, n) if lex_compare(ranks[t], ranks[t - 1]) > 0
+    )
+    max_plateau = 0
+    run_length = 0
+    for t in range(1, n):
+        if lex_compare(ranks[t], ranks[t - 1]) == 0:
+            run_length += 1
+        else:
+            run_length = 0
+        max_plateau = max(max_plateau, run_length)
+
+    align_f0 = cfg.heavy_weight * align_f0_count
+    align_f14 = cfg.light_weight * align_f14_count
+    total = float(normalization + delay) + align_f0 + align_f14
+
+    report = ViolationReport(
+        name=name,
+        total_violations=total,
+        delay_violations=delay,
+        normalization_violations=normalization,
+        align_f0=align_f0,
+        align_f14=align_f14,
+        structural_failure=False,
+        local_increases=local_increases,
+        max_plateau=max_plateau,
+        solved=total == 0,
+        rank_stream=tuple(ranks),
+        best_stream=tuple(best_stream),
+    )
+    return TrajectoryAudit(report=report, step_flags=tuple(flags), best_improved=tuple(improved))
+
+
+# a small pool, so that ties, repeats and plateaus are common; 2**53 + 1 and
+# its nearest float differ only under exact int/float comparison
+_VALUES = st.one_of(
+    st.sampled_from((0, 1, 2, 3, 2**53 + 1, 0.0, -0.0, 0.5, 1.0, 2.0, 3.0, float(2**53))),
+    st.integers(-5, 5),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+# values and shapes the structural gate must reject
+_MALFORMED = st.sampled_from(
+    (None, (), 7, (float("nan"), 1.0), (float("inf"), 1.0), (True, 1.0), ("a", 1.0))
+)
+
+
+@st.composite
+def _streams(draw):
+    n = draw(st.integers(1, 14))
+    width = draw(st.integers(1, 4))
+    rank = st.lists(_VALUES, min_size=width, max_size=width)
+    pool = draw(st.lists(rank, min_size=1, max_size=4))
+    ranks = []
+    for _ in range(n):
+        source = draw(st.sampled_from(("pool", "repeat", "fresh")))
+        if source == "repeat" and ranks:
+            values = list(ranks[-1])
+        elif source == "fresh":
+            values = draw(rank)
+        else:
+            values = list(draw(st.sampled_from(pool)))
+        ranks.append(tuple(values) if draw(st.booleans()) else values)
+    if draw(st.integers(0, 3)) == 0:
+        t = draw(st.integers(0, n - 1))
+        ragged = draw(st.lists(_VALUES, min_size=width + 1, max_size=width + 2))
+        ranks[t] = draw(st.one_of(_MALFORMED, st.just(tuple(ragged))))
+    features = []
+    for _ in range(n):
+        fv = [0.0] * 26
+        fv[0] = float(draw(st.integers(0, 3)))
+        fv[9] = float(draw(st.integers(0, 4)) == 0)
+        fv[14] = draw(st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+        features.append(tuple(fv))
+    return ranks, features
+
+
+_configs = st.builds(
+    HarnessConfig,
+    window=st.integers(1, 6),
+    heavy_weight=st.sampled_from((1.0, 2.5)),
+    light_weight=st.sampled_from((0.5, 0.25)),
+    delay_per_step=st.booleans(),
+    align_at_entry=st.booleans(),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(stream=_streams(), cfg=_configs)
+def test_audit_matches_lex_compare_reference(stream, cfg):
+    ranks, features = stream
+    got = audit_trajectory(ranks, features, cfg, name="c")
+    want = _reference_audit(ranks, features, cfg, name="c")
+    assert got == want
+    # repr tells -0.0 from 0.0, so the same rank objects must have been kept
+    assert repr(got) == repr(want)

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blowup_lab
 from blowup_lab.core import (
     MIXED,
     PURE_BASE,
@@ -160,6 +167,59 @@ def test_state_validates_indexing(vars4):
         State(short, Boundary((0, 0, 0, 0)), vars4)
     with pytest.raises(ValueError):
         Boundary((-1, 0, 0, 0))
+
+
+def test_ideal_spec_hash_follows_value(vars4):
+    ideal = parse_polynomial("z^3 + x^6 + w^2*y^4", vars4)
+    same = parse_polynomial("z^3 + x^6 + w^2*y^4", vars4)
+    assert ideal == same and ideal is not same
+    assert hash(ideal) == hash(same)
+    reordered = IdealSpec(ideal.monomials[::-1])
+    assert reordered != ideal
+
+
+_UNPICKLE_AND_HASH = """
+import pickle, sys
+from blowup_lab.core import IdealSpec
+spec = pickle.loads(sys.stdin.buffer.read())
+fresh = IdealSpec(tuple(spec.monomials))
+print(hash("pure-z"), hash(spec) == hash(fresh), {fresh: 1}.get(spec))
+"""
+
+
+def test_ideal_spec_hash_is_rederived_after_pickling(vars4):
+    ideal = parse_polynomial("z^3 + x^6 + oblique:w^2*y^4", vars4)
+    loaded = pickle.loads(pickle.dumps(ideal))
+    assert loaded == ideal
+    assert hash(loaded) == hash(parse_polynomial("z^3 + x^6 + oblique:w^2*y^4", vars4))
+
+    # string hashes depend on PYTHONHASHSEED: a hash that travelled inside the
+    # pickle would not match the child's own hash of an equal spec
+    src = str(Path(blowup_lab.__file__).resolve().parents[1])
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE_AND_HASH],
+        input=pickle.dumps(ideal),
+        env=env,
+        capture_output=True,
+        timeout=60,
+        check=True,
+    )
+    child_tag_hash, same_hash, lookup = child.stdout.decode().split()
+    assert int(child_tag_hash) != hash("pure-z")  # the child hashes strings differently
+    assert same_hash == "True"
+    assert lookup == "1"
+
+
+def test_state_checks_monomial_lengths(vars4):
+    boundary = Boundary((0, 0, 0, 0))
+    for exps in ((2, 0, 0), (2, 0, 0, 0, 1)):
+        wrong = IdealSpec((TaggedMonomial(PURE_Z, (0, 0, 0, 3)), TaggedMonomial(PURE_BASE, exps)))
+        with pytest.raises(ValueError, match="monomial is not indexed"):
+            State(wrong, boundary, vars4)
+    empty = State(IdealSpec(()), boundary, vars4)
+    assert not empty.ideal
 
 
 def test_initial_state_has_zero_boundary(vars4):

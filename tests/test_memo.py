@@ -2,7 +2,9 @@
 
 The uncached path is the memoized function's own ``__wrapped__``, swapped in
 for the module attribute its caller looks up, so both sides run the same
-code and differ only in the memo.
+code and differ only in the memo.  Trajectories are also compared with a
+plain loop that checks for monomial phase after every step, which
+``run_trajectory`` skips on a fixed-ideal tail.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup_lab import features, simulator
-from blowup_lab.benchmarks import generate_broad_surrogates
+from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.core import (
     MIXED,
     OBLIQUE,
@@ -29,7 +31,7 @@ from blowup_lab.core import (
 from blowup_lab.features import extract_features, weighted_order_proxy
 from blowup_lab.harness import HarnessConfig, score_benchmark
 from blowup_lab.rankers import get_ranker
-from blowup_lab.simulator import MEMO_ENTRIES, run_trajectory
+from blowup_lab.simulator import MEMO_ENTRIES, is_monomial_phase, run_trajectory
 
 _TAGS = (PURE_Z, PURE_BASE, MIXED, OBLIQUE, "custom")
 
@@ -77,16 +79,54 @@ def test_memoized_features_match_uncached(state, allowed_tags):
     assert memoized[14] == weighted_order_proxy(state)
 
 
+def _plain_trajectory(initial, cap, allowed_tags):
+    # run_trajectory as a plain loop: the uncached chart and the monomial-phase
+    # check after every step, including steps that keep the ideal
+    z = initial.vars.elim_index
+    states, centers, excs = [initial], [], []
+    if is_monomial_phase(initial.ideal, allowed_tags, z):
+        return states, centers, excs, 0
+    with patch.object(simulator, "_chart", simulator._chart.__wrapped__):
+        for k in range(cap):
+            current, center, exc = simulator.step(states[-1])
+            states.append(current)
+            centers.append(center)
+            excs.append(exc)
+            if is_monomial_phase(current.ideal, allowed_tags, z):
+                return states, centers, excs, k + 1
+    return states, centers, excs, None
+
+
 @settings(max_examples=150, deadline=None)
 @given(state=_states(), cap=st.integers(0, 40), allowed_tags=_allowed_tags)
 def test_step_memo_matches_uncached_chart(state, cap, allowed_tags):
-    memoized = run_trajectory(state, cap, allowed_tags)
-    with patch.object(simulator, "_chart", simulator._chart.__wrapped__):
-        plain = run_trajectory(state, cap, allowed_tags)
-    assert memoized.states == plain.states
-    assert memoized.centers == plain.centers
-    assert memoized.excs == plain.excs
-    assert memoized.monomial_step == plain.monomial_step
+    for tags in (allowed_tags, None):
+        memoized = run_trajectory(state, cap, tags)
+        states, centers, excs, monomial_step = _plain_trajectory(state, cap, tags)
+        assert memoized.states == tuple(states)
+        assert memoized.centers == tuple(centers)
+        assert memoized.excs == tuple(excs)
+        assert memoized.monomial_step == monomial_step
+
+
+def test_builtin_sweep_computes_each_ideal_once():
+    # the benchmark's builtin_sweep order: each suite under every ranker in
+    # turn; the memo bound must hold all of them, so every distinct ideal
+    # misses exactly once
+    cfg = HarnessConfig(window=5, cap=30)
+    suites = [broad24(), focused71(), extended100()]
+    features._ideal_features.cache_clear()
+    for cases in suites:
+        for name in ("two_component", "clean_lex", "disc_lex", "r100"):
+            score_benchmark(get_ranker(name), cases, cfg)
+    misses = features._ideal_features.cache_info().misses
+    ideals = {
+        (s.ideal, s.vars)
+        for cases in suites
+        for case in cases
+        for s in run_trajectory(case.initial_state(), cfg.cap).states
+    }
+    assert misses == len(ideals) == 555
 
 
 def test_memos_stay_within_their_bound():
