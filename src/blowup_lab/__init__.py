@@ -30,11 +30,11 @@ from blowup_lab.features import (
 )
 from blowup_lab.rankers import (
     Ranker,
+    RankerTemplate,
     discretize,
     get_ranker,
     lex_compare,
     rank_clean_lex,
-    rank_disc_raw,
     rank_r100_raw,
     rank_two_component,
 )
@@ -43,7 +43,6 @@ from blowup_lab.harness import (
     SuiteReport,
     ViolationReport,
     check_determinism,
-    evaluate_trajectory,
     score_benchmark,
     verify_counterexamples,
 )
@@ -56,7 +55,7 @@ from blowup_lab.benchmarks import (
     load_manifest,
     save_manifest,
 )
-from blowup_lab.search import RankerTemplate, hill_climb
+from blowup_lab.search import hill_climb
 
 __all__ = [
     "Boundary",
@@ -80,18 +79,17 @@ __all__ = [
     "hilbert_samuel_base",
     "weighted_order_proxy",
     "Ranker",
+    "RankerTemplate",
     "discretize",
     "get_ranker",
     "lex_compare",
     "rank_clean_lex",
-    "rank_disc_raw",
     "rank_r100_raw",
     "rank_two_component",
     "HarnessConfig",
     "SuiteReport",
     "ViolationReport",
     "check_determinism",
-    "evaluate_trajectory",
     "score_benchmark",
     "verify_counterexamples",
     "BenchmarkCase",
@@ -101,6 +99,5 @@ __all__ = [
     "get_suite",
     "load_manifest",
     "save_manifest",
-    "RankerTemplate",
     "hill_climb",
 ]

@@ -4,7 +4,6 @@ Subcommands: run a ranker over a suite, trace a single trajectory to CSV,
 re-verify the stall instances, export/validate manifests, and run the weight
 search.  Identical invocations produce byte-identical output; reals are
 formatted with 17 significant digits so traces diff cleanly across platforms.
-The BLOWUP_LAB_THREADS environment variable caps per-case parallelism.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,8 +32,8 @@ from blowup_lab.harness import (
     simulate_case,
     verify_counterexamples,
 )
-from blowup_lab.rankers import get_ranker, ranker_names
-from blowup_lab.search import RankerTemplate, hill_climb
+from blowup_lab.rankers import RankerTemplate, get_ranker, ranker_names
+from blowup_lab.search import hill_climb
 
 EXIT_OK = 0
 EXIT_UNSOLVED = 1
@@ -49,14 +47,6 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return format(value, ".17g")
-
-
-def _workers() -> int:
-    raw = os.environ.get("BLOWUP_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolve_suite(name: str):
@@ -73,8 +63,7 @@ def _cmd_run(args) -> int:
     suite_name, cases = _resolve_suite(args.suite)
     cfg = HarnessConfig(window=args.m, cap=args.cap)
     report = score_benchmark(
-        ranker, cases, cfg, suite_name=suite_name, ranker_name=args.ranker,
-        workers=_workers(),
+        ranker, cases, cfg, suite_name=suite_name, ranker_name=args.ranker
     )
     payload = json.dumps(report.to_json_dict(), indent=2)
     if args.json:

@@ -59,6 +59,8 @@ class HarnessConfig:
             raise ValueError("alignment weights must be positive")
         if len(self.stage_prefixes) != len(self.stage_weights):
             raise ValueError("stage prefixes and weights must align")
+        if any(p is not None and p < 0 for p in self.stage_prefixes):
+            raise ValueError("stage prefixes must be nonnegative or None")
 
 
 @dataclass(frozen=True)
@@ -224,16 +226,6 @@ def audit_trajectory(
     return TrajectoryAudit(report=report, step_flags=tuple(flags), best_improved=tuple(improved))
 
 
-def evaluate_trajectory(
-    ranks: Sequence,
-    features: Sequence[Sequence[float]],
-    cfg: HarnessConfig,
-    name: str = "case",
-) -> ViolationReport:
-    """Audit a rank/feature stream and return the violation report."""
-    return audit_trajectory(ranks, features, cfg, name).report
-
-
 def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
     """Purity probe: two evaluations on the same input must agree exactly."""
     try:
@@ -309,7 +301,7 @@ class SuiteReport:
 def _score_one(case, ranker: Callable, cfg: HarnessConfig) -> ViolationReport:
     initial = case.initial_state()
     _, feature_stream, rank_stream = simulate_case(initial, ranker, cfg)
-    report = evaluate_trajectory(rank_stream, feature_stream, cfg, name=case.name)
+    report = audit_trajectory(rank_stream, feature_stream, cfg, name=case.name).report
     # purity gate: a ranker that fails the determinism probe is structurally
     # broken even if each single evaluation looks fine
     if not report.structural_failure and not check_determinism(ranker, feature_stream[0]):
@@ -420,16 +412,16 @@ def verify_counterexamples(cap: int = DEFAULT_CAP) -> CounterexampleFindings:
 
     clean_lex = get_ranker("clean_lex")
     _, lex_features, lex_ranks = simulate_case(lex_state, clean_lex, cfg_m10)
-    lex_report = evaluate_trajectory(lex_ranks, lex_features, cfg_m10, name="lex-stall")
+    lex_report = audit_trajectory(lex_ranks, lex_features, cfg_m10, name="lex-stall").report
     c2_zero = next((t for t, r in enumerate(lex_ranks) if r[1] == 0.0), None)
 
     disc = get_ranker("disc_lex")
     _, disc_features, disc_ranks = simulate_case(disc_state, disc, cfg_m5)
-    disc_report = evaluate_trajectory(disc_ranks, disc_features, cfg_m5, name="disc-stall")
+    disc_report = audit_trajectory(disc_ranks, disc_features, cfg_m5, name="disc-stall").report
 
     r100 = get_ranker("r100")
     _, r100_features, r100_ranks = simulate_case(disc_state, r100, cfg_m5)
-    r100_report = evaluate_trajectory(r100_ranks, r100_features, cfg_m5, name="r100-clean")
+    r100_report = audit_trajectory(r100_ranks, r100_features, cfg_m5, name="r100-clean").report
 
     return CounterexampleFindings(
         lex_tuple_delay_m10=lex_report.delay_violations >= 1,

@@ -1,12 +1,20 @@
 """Ranking functions over the 26-feature vector, discretization, lex order.
 
-Three built-in rankers are provided:
+Four built-in rankers are provided:
 
 * ``two_component`` — a continuous pair (gate, weighted sum) whose scalar
   weights encode a component hierarchy;
 * ``clean_lex`` — the same five components returned unscalarized;
 * ``disc_lex`` / ``r100`` — five-component raw ranks meant to be composed
   with the floor/offset/log discretization map into natural-number tuples.
+
+``disc_lex`` is defined as the depth-charge ``RankerTemplate`` at its default
+weights.  A template fixes the shape of a rank: the first component is the
+hard monomial-phase gate (0 in monomial phase, order proxy otherwise) and is
+not searchable; the remaining components are weighted sums over declared
+feature terms, with an optional fixed nonlinear block (the negated cubic
+depth charge, or a tanh saturation).  Any in-bounds weight assignment yields
+a pure ranker, so the purity probe passes by construction.
 
 Every ranker is a pure function: identical feature vectors give bit-identical
 outputs.  The first component is 0 exactly on monomial-phase inputs and
@@ -16,7 +24,7 @@ strictly positive otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 Rank = Sequence[float]
@@ -90,44 +98,6 @@ def rank_two_component(fv: Sequence[float]) -> tuple[float, float]:
     c1, c2, c3, c4, c5 = rank_clean_lex(fv)
     combined = _W_C2 * c2 + _W_C3 * c3 + _W_C4 * c4 + _W_C5 * c5
     return (c1, combined)
-
-
-def rank_disc_raw(fv: Sequence[float]) -> tuple[float, float, float, float, float]:
-    """Five-component raw rank built for discretization (cubic depth charge)."""
-    f0 = float(fv[0])
-    f1 = float(fv[1])
-    f5 = float(fv[5])
-    f8 = float(fv[8])
-    f9 = int(fv[9])
-    f10 = float(fv[10])
-    f14 = float(fv[14])
-    f18 = float(fv[18])
-    f19 = float(fv[19])
-    f20 = float(fv[20])
-    f21 = float(fv[21])
-    f23 = float(fv[23])
-    f24 = float(fv[24])
-    f25 = float(fv[25])
-
-    c1 = 0.0 if f9 == 1 else f0
-
-    c2 = 0.5 * f14 + 0.5 * f21 + 0.05 * f1 + 0.01 * f5
-
-    c3 = f10 + f19 + 0.1 * f20
-
-    # inverted depth/complexity accumulator, amplified when the Jacobian
-    # carries no information
-    interaction = f10 * f24 * (1.0 - f23)
-    c4 = -1.0 * (
-        4.0 * (f24 ** 3)
-        + 1.0 * f25
-        + 5.0 * (1.0 - f23) * f24
-        + 10.0 * interaction
-    )
-
-    c5 = f18 + 0.5 * f8
-
-    return (c1, c2, c3, c4, c5)
 
 
 def rank_r100_raw(fv: Sequence[float]) -> tuple[float, float, float, float, float]:
@@ -239,43 +209,173 @@ def lex_compare(a: Sequence[float], b: Sequence[float]) -> int:
     return EQUAL
 
 
-_RAW_FUNCTIONS: dict[str, tuple[Callable[[Sequence[float]], tuple], int]] = {
-    "two_component": (rank_two_component, 2),
-    "clean_lex": (rank_clean_lex, 5),
-    "disc_lex": (rank_disc_raw, 5),
-    "r100": (rank_r100_raw, 5),
-}
-
-#: Which registry entries compose with the discretization map by default.
-_DISCRETIZED_BY_DEFAULT = frozenset({"disc_lex", "r100"})
-
-
 @dataclass(frozen=True)
 class Ranker:
-    """A named pure rank function, optionally composed with discretization."""
+    """A named pure rank function, optionally composed with discretization.
+
+    width is the number of components raw returns; discretization needs 5.
+    """
 
     name: str
     raw: Callable[[Sequence[float]], tuple]
     discretized: bool = False
+    width: int = 5
+
+    def __post_init__(self) -> None:
+        if self.discretized and self.width != 5:
+            raise ValueError(
+                f"ranker {self.name!r} returns {self.width} components; discretization needs 5"
+            )
 
     def __call__(self, fv: Sequence[float]) -> tuple:
         rank = self.raw(fv)
         return discretize(rank) if self.discretized else rank
 
 
+LINEAR = "linear"
+DEPTH_CHARGE = "depth_charge"
+TANH_BLOCK = "tanh_block"
+
+
+@dataclass(frozen=True)
+class ComponentSpec:
+    """One rank component: a weighted sum with an optional fixed nonlinearity.
+
+    kind "linear": value = sum of weight * feature over the declared terms,
+    evaluated in declaration order.
+    kind "tanh_block": 50 * tanh(linear part / 5).
+    kind "depth_charge": -(w0*f24^3 + w1*f25 + w2*(1-f23)*f24
+    + w3*f10*f24*(1-f23)); exactly four terms, whose weights are w0..w3 and
+    whose feature indices are fixed by the formula.
+    """
+
+    kind: str
+    terms: tuple[tuple[int, float], ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in (LINEAR, TANH_BLOCK, DEPTH_CHARGE):
+            raise ValueError(f"unknown component kind {self.kind!r}")
+        if self.kind == DEPTH_CHARGE and len(self.terms) != 4:
+            raise ValueError(f"a depth_charge component has 4 terms, got {len(self.terms)}")
+
+    def bind(self, weights: Sequence[float]) -> Callable[[Sequence[float]], float]:
+        """The component's value as a function of the feature vector."""
+        if self.kind == DEPTH_CHARGE:
+            w0, w1, w2, w3 = weights
+
+            def depth_charge(fv: Sequence[float]) -> float:
+                f10 = float(fv[10])
+                f23 = float(fv[23])
+                f24 = float(fv[24])
+                f25 = float(fv[25])
+                # inverted depth/complexity accumulator, amplified when the
+                # Jacobian carries no information
+                interaction = f10 * f24 * (1.0 - f23)
+                return -1.0 * (
+                    w0 * (f24 ** 3) + w1 * f25 + w2 * (1.0 - f23) * f24 + w3 * interaction
+                )
+
+            return depth_charge
+
+        pairs = tuple((index, w) for (index, _), w in zip(self.terms, weights))
+
+        def linear(fv: Sequence[float]) -> float:
+            total = 0.0
+            for index, w in pairs:
+                total = total + w * float(fv[index])
+            return total
+
+        if self.kind == TANH_BLOCK:
+            return lambda fv: 50.0 * math.tanh(linear(fv) / 5.0)
+        return linear
+
+    def initial_weights(self) -> tuple[float, ...]:
+        return tuple(w for _, w in self.terms)
+
+
+@dataclass(frozen=True)
+class RankerTemplate:
+    """Shape of a searchable ranker: the gate followed by the components."""
+
+    components: tuple[ComponentSpec, ...]
+    weight_bound: float = 20.0
+    discretized: bool = True
+
+    def __post_init__(self) -> None:
+        if self.discretized and len(self.components) != 4:
+            raise ValueError(
+                f"a discretized template has 4 components after the gate, "
+                f"got {len(self.components)}; discretization needs 5"
+            )
+
+    def size(self) -> int:
+        return sum(len(c.terms) for c in self.components)
+
+    def default_weights(self) -> tuple[float, ...]:
+        flat: list[float] = []
+        for c in self.components:
+            flat.extend(c.initial_weights())
+        return tuple(flat)
+
+    def split(self, weights: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+        if len(weights) != self.size():
+            raise ValueError(f"expected {self.size()} weights, got {len(weights)}")
+        parts = []
+        offset = 0
+        for c in self.components:
+            parts.append(tuple(weights[offset : offset + len(c.terms)]))
+            offset += len(c.terms)
+        return tuple(parts)
+
+    def instantiate(self, weights: Sequence[float]) -> Ranker:
+        bound = tuple(
+            spec.bind(ws) for spec, ws in zip(self.components, self.split(tuple(weights)))
+        )
+
+        def raw(fv: Sequence[float]) -> tuple:
+            values = [0.0 if int(fv[9]) == 1 else float(fv[0])]
+            for component in bound:
+                values.append(component(fv))
+            return tuple(values)
+
+        return Ranker(
+            name="template", raw=raw, discretized=self.discretized, width=1 + len(bound)
+        )
+
+    @classmethod
+    def depth_charge(cls, discretized: bool = True) -> "RankerTemplate":
+        """The disc_lex ranker's shape; its default weights are disc_lex."""
+        return cls(
+            components=(
+                ComponentSpec(LINEAR, ((14, 0.5), (21, 0.5), (1, 0.05), (5, 0.01))),
+                ComponentSpec(LINEAR, ((10, 1.0), (19, 1.0), (20, 0.1))),
+                ComponentSpec(DEPTH_CHARGE, ((24, 4.0), (25, 1.0), (23, 5.0), (10, 10.0))),
+                ComponentSpec(LINEAR, ((18, 1.0), (8, 0.5))),
+            ),
+            discretized=discretized,
+        )
+
+
+def _disc_lex() -> Ranker:
+    template = RankerTemplate.depth_charge()
+    return replace(template.instantiate(template.default_weights()), name="disc_lex")
+
+
+_RANKERS: dict[str, Ranker] = {
+    "two_component": Ranker("two_component", rank_two_component, width=2),
+    "clean_lex": Ranker("clean_lex", rank_clean_lex),
+    "disc_lex": _disc_lex(),
+    "r100": Ranker("r100", rank_r100_raw, discretized=True),
+}
+
+
 def ranker_names() -> tuple[str, ...]:
-    return tuple(_RAW_FUNCTIONS)
+    return tuple(_RANKERS)
 
 
 def get_ranker(name: str, discretized: bool | None = None) -> Ranker:
     """Look up a built-in ranker; discretized overrides the registry default."""
-    if name not in _RAW_FUNCTIONS:
-        raise ValueError(
-            f"unknown ranker {name!r}; available: {', '.join(_RAW_FUNCTIONS)}"
-        )
-    raw, length = _RAW_FUNCTIONS[name]
-    if discretized is None:
-        discretized = name in _DISCRETIZED_BY_DEFAULT
-    if discretized and length != 5:
-        raise ValueError(f"ranker {name!r} returns {length} components; discretization needs 5")
-    return Ranker(name=name, raw=raw, discretized=discretized)
+    if name not in _RANKERS:
+        raise ValueError(f"unknown ranker {name!r}; available: {', '.join(_RANKERS)}")
+    ranker = _RANKERS[name]
+    return ranker if discretized is None else replace(ranker, discretized=discretized)

@@ -27,7 +27,7 @@ from blowup_lab.harness import (
     DISC_STALL_POLY,
     LEX_STALL_POLY,
     HarnessConfig,
-    evaluate_trajectory,
+    audit_trajectory,
     check_determinism,
     score_benchmark,
     simulate_case,
@@ -112,9 +112,9 @@ def test_criterion_4_lex_tuple_stall():
     state = State.initial(parse_polynomial(LEX_STALL_POLY, VARS4), VARS4)
     cfg10 = HarnessConfig(window=10)
     _, features, ranks = simulate_case(state, get_ranker("clean_lex"), cfg10)
-    report = evaluate_trajectory(ranks, features, cfg10, name="lex-stall")
+    report = audit_trajectory(ranks, features, cfg10, name="lex-stall").report
     cfg5 = HarnessConfig(window=5)
-    report5 = evaluate_trajectory(ranks, features, cfg5, name="lex-stall")
+    report5 = audit_trajectory(ranks, features, cfg5, name="lex-stall").report
     first_zero = next((t for t, r in enumerate(ranks) if r[1] == 0.0), None)
     ok = (
         report.delay_violations >= 1
@@ -132,9 +132,9 @@ def test_criterion_4_lex_tuple_stall():
 def test_criterion_5_disc_stall_and_r100_repair():
     state = State.initial(parse_polynomial(DISC_STALL_POLY, VARS4), VARS4)
     _, features, ranks = simulate_case(state, get_ranker("disc_lex"), CFG)
-    report = evaluate_trajectory(ranks, features, CFG, name="disc-stall")
+    report = audit_trajectory(ranks, features, CFG, name="disc-stall").report
     _, r_features, r_ranks = simulate_case(state, get_ranker("r100"), CFG)
-    r_report = evaluate_trajectory(r_ranks, r_features, CFG, name="r100")
+    r_report = audit_trajectory(r_ranks, r_features, CFG, name="r100").report
     ok = (
         report.delay_violations >= 1
         and ranks[0] == (3, 4280, 531, 5000, 220)
@@ -293,7 +293,7 @@ def test_criterion_6g_harness_invariants():
                 fv[0] = 0.0
             features.append(tuple(fv))
         for m in range(1, 11):
-            report = evaluate_trajectory(ranks, features, HarnessConfig(window=m))
+            report = audit_trajectory(ranks, features, HarnessConfig(window=m)).report
             ok = ok and report.total_violations == 0
 
     # delay violations never increase as the window grows
@@ -306,7 +306,7 @@ def test_criterion_6g_harness_invariants():
             fv[0] = 3.0
             features.append(tuple(fv))
         delays = [
-            evaluate_trajectory(ranks, features, HarnessConfig(window=m)).delay_violations
+            audit_trajectory(ranks, features, HarnessConfig(window=m)).report.delay_violations
             for m in range(1, 11)
         ]
         ok = ok and all(a >= b for a, b in zip(delays, delays[1:]))

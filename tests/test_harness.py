@@ -15,7 +15,6 @@ from blowup_lab.harness import (
     HarnessConfig,
     audit_trajectory,
     check_determinism,
-    evaluate_trajectory,
     score_benchmark,
     simulate_case,
     verify_counterexamples,
@@ -45,6 +44,8 @@ def test_config_validation():
         HarnessConfig(heavy_weight=0.0)
     with pytest.raises(ValueError):
         HarnessConfig(stage_prefixes=(20,), stage_weights=(1.0, 2.0))
+    with pytest.raises(ValueError):
+        HarnessConfig(stage_prefixes=(20, -3, None))
 
 
 def test_strictly_decreasing_stream_is_clean():
@@ -52,7 +53,7 @@ def test_strictly_decreasing_stream_is_clean():
     ranks = [(3.0, float(n - t)) for t in range(n - 1)] + [(0.0, 0.0)]
     features = _features(n, monomial_at=n - 1)
     for m in range(1, 9):
-        report = evaluate_trajectory(ranks, features, HarnessConfig(window=m))
+        report = audit_trajectory(ranks, features, HarnessConfig(window=m)).report
         assert report.solved
         assert report.total_violations == 0
 
@@ -62,7 +63,7 @@ def test_constant_stream_delay_accrual():
     # violation accrues on every later stalled step as well
     ranks = [(3.0, 1.0)] * 12
     features = _features(12)
-    report = evaluate_trajectory(ranks, features, HarnessConfig(window=5))
+    report = audit_trajectory(ranks, features, HarnessConfig(window=5)).report
     assert report.delay_violations == 7
     assert report.max_plateau == 11  # eleven consecutive repeats
     assert not report.solved
@@ -72,14 +73,14 @@ def test_constant_stream_once_per_stall():
     ranks = [(3.0, 1.0)] * 12
     features = _features(12)
     cfg = HarnessConfig(window=5, delay_per_step=False)
-    report = evaluate_trajectory(ranks, features, cfg)
+    report = audit_trajectory(ranks, features, cfg).report
     assert report.delay_violations == 1
 
 
 def test_delay_stops_at_monomial_entry():
     ranks = [(3.0, 1.0)] * 7 + [(0.0, 0.0)]
     features = _features(8, monomial_at=7)
-    report = evaluate_trajectory(ranks, features, HarnessConfig(window=5))
+    report = audit_trajectory(ranks, features, HarnessConfig(window=5)).report
     # stalled steps before the monomial entry: t = 5, 6
     assert report.delay_violations == 2
 
@@ -87,13 +88,13 @@ def test_delay_stops_at_monomial_entry():
 def test_normalization_violations_both_directions():
     ranks = [(3.0, 1.0), (1.0, 1.0), (0.0, 1.0)]
     features = _features(3, monomial_at=1)
-    report = evaluate_trajectory(ranks, features, HarnessConfig())
+    report = audit_trajectory(ranks, features, HarnessConfig()).report
     # t=1 is monomial but rank[0] != 0; t=2 would be fine
     assert report.normalization_violations == 1
 
     ranks = [(0.0, 1.0), (3.0, 1.0)]
     features = _features(2)
-    report = evaluate_trajectory(ranks, features, HarnessConfig())
+    report = audit_trajectory(ranks, features, HarnessConfig()).report
     # t=0 is non-monomial but rank[0] == 0
     assert report.normalization_violations == 1
 
@@ -103,28 +104,28 @@ def test_alignment_penalties_weighted():
     # f0 drops 3 -> 2 at t=1 while the rank stays put
     ranks = [(3.0, 5.0), (3.0, 5.0)]
     features = _features(2, f0=[3, 2])
-    report = evaluate_trajectory(ranks, features, cfg)
+    report = audit_trajectory(ranks, features, cfg).report
     assert report.align_f0 == cfg.heavy_weight
     assert report.align_f14 == 0.0
 
     # f14 drops at t=1 while the rank increases
     ranks = [(3.0, 5.0), (3.0, 6.0)]
     features = _features(2, f14=[2.0, 1.0])
-    report = evaluate_trajectory(ranks, features, cfg)
+    report = audit_trajectory(ranks, features, cfg).report
     assert report.align_f14 == cfg.light_weight
     assert report.align_f0 == 0.0
 
     # a strict rank drop silences both penalties
     ranks = [(3.0, 5.0), (2.0, 6.0)]
     features = _features(2, f0=[3, 2], f14=[2.0, 1.0])
-    report = evaluate_trajectory(ranks, features, cfg)
+    report = audit_trajectory(ranks, features, cfg).report
     assert report.total_violations == 0
 
 
 def test_structural_penalty_on_nan():
     cfg = HarnessConfig()
     ranks = [(3.0, 1.0), (3.0, float("nan"))]
-    report = evaluate_trajectory(ranks, _features(2), cfg)
+    report = audit_trajectory(ranks, _features(2), cfg).report
     assert report.structural_failure
     assert report.total_violations == cfg.structural_penalty
     assert not report.solved
@@ -132,20 +133,20 @@ def test_structural_penalty_on_nan():
 
 def test_structural_penalty_on_crash_marker_and_shape():
     cfg = HarnessConfig()
-    report = evaluate_trajectory([(3.0, 1.0), None], _features(2), cfg)
+    report = audit_trajectory([(3.0, 1.0), None], _features(2), cfg).report
     assert report.structural_failure
-    report = evaluate_trajectory([(3.0, 1.0), (3.0, 1.0, 1.0)], _features(2), cfg)
+    report = audit_trajectory([(3.0, 1.0), (3.0, 1.0, 1.0)], _features(2), cfg).report
     assert report.structural_failure
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        evaluate_trajectory([(1.0,)], _features(2), HarnessConfig())
+        audit_trajectory([(1.0,)], _features(2), HarnessConfig()).report
 
 
 def test_local_increase_and_plateau_diagnostics():
     ranks = [(3.0, 3.0), (3.0, 3.0), (3.0, 4.0), (3.0, 2.0), (3.0, 2.0), (3.0, 2.0)]
-    report = evaluate_trajectory(ranks, _features(6), HarnessConfig())
+    report = audit_trajectory(ranks, _features(6), HarnessConfig()).report
     assert report.local_increases == 1
     assert report.max_plateau == 2  # two consecutive repeats of (3, 2)
 
@@ -153,7 +154,7 @@ def test_local_increase_and_plateau_diagnostics():
 def test_best_stream_is_running_lex_min():
     ranks = [(3.0, 5.0), (3.0, 7.0), (3.0, 4.0), (3.0, 6.0), (0.0, 0.0)]
     features = _features(5, monomial_at=4)
-    report = evaluate_trajectory(ranks, features, HarnessConfig())
+    report = audit_trajectory(ranks, features, HarnessConfig()).report
     assert report.best_stream == ((3.0, 5.0), (3.0, 5.0), (3.0, 4.0), (3.0, 4.0), (0.0, 0.0))
     assert report.best_stream[-1] == min(ranks)
 
@@ -165,7 +166,7 @@ def test_delay_monotone_in_window():
         ranks = [(float(rng.randint(1, 4)), float(rng.randint(0, 5))) for _ in range(n)]
         features = _features(n)
         delays = [
-            evaluate_trajectory(ranks, features, HarnessConfig(window=m)).delay_violations
+            audit_trajectory(ranks, features, HarnessConfig(window=m)).report.delay_violations
             for m in range(1, 11)
         ]
         assert all(a >= b for a, b in zip(delays, delays[1:]))

@@ -14,11 +14,11 @@ from blowup_lab.rankers import (
     EQUAL,
     GREATER,
     LESS,
+    RankerTemplate,
     discretize,
     get_ranker,
     lex_compare,
     rank_clean_lex,
-    rank_disc_raw,
     rank_r100_raw,
     rank_two_component,
     ranker_names,
@@ -32,18 +32,55 @@ def _fv(text, vars4):
     return extract_features(State.initial(parse_polynomial(text, vars4), vars4))
 
 
+def _disc_raw_oracle(fv):
+    """The hand-coded disc_lex raw rank that the depth-charge template replaced."""
+    f0 = float(fv[0])
+    f1 = float(fv[1])
+    f5 = float(fv[5])
+    f8 = float(fv[8])
+    f9 = int(fv[9])
+    f10 = float(fv[10])
+    f14 = float(fv[14])
+    f18 = float(fv[18])
+    f19 = float(fv[19])
+    f20 = float(fv[20])
+    f21 = float(fv[21])
+    f23 = float(fv[23])
+    f24 = float(fv[24])
+    f25 = float(fv[25])
+
+    c1 = 0.0 if f9 == 1 else f0
+
+    c2 = 0.5 * f14 + 0.5 * f21 + 0.05 * f1 + 0.01 * f5
+
+    c3 = f10 + f19 + 0.1 * f20
+
+    interaction = f10 * f24 * (1.0 - f23)
+    c4 = -1.0 * (
+        4.0 * (f24 ** 3)
+        + 1.0 * f25
+        + 5.0 * (1.0 - f23) * f24
+        + 10.0 * interaction
+    )
+
+    c5 = f18 + 0.5 * f8
+
+    return (c1, c2, c3, c4, c5)
+
+
 def test_registry_names():
     assert set(ranker_names()) == {"two_component", "clean_lex", "disc_lex", "r100"}
     assert get_ranker("disc_lex").discretized
     assert get_ranker("r100").discretized
     assert not get_ranker("two_component").discretized
     assert not get_ranker("clean_lex").discretized
+    assert get_ranker("disc_lex").name == "disc_lex"
 
 
 def test_registry_discretized_override():
     raw = get_ranker("disc_lex", discretized=False)
     fv = ZERO_MONOMIAL_FV
-    assert raw(fv) == rank_disc_raw(fv)
+    assert raw(fv) == _disc_raw_oracle(fv)
     with pytest.raises(ValueError):
         get_ranker("two_component", discretized=True)
     with pytest.raises(ValueError):
@@ -79,7 +116,7 @@ def test_clean_lex_cross_case(vars4):
 
 
 def test_disc_raw_heavy_tail_instance(vars4):
-    raw = rank_disc_raw(_fv("z^3 + x^12 + y^6 + w^9*y^4 + x^9*y^8*w^10", vars4))
+    raw = get_ranker("disc_lex", discretized=False)(_fv("z^3 + x^12 + y^6 + w^9*y^4 + x^9*y^8*w^10", vars4))
     assert raw[0] == 3.0
     assert raw[1] == pytest.approx(42.8, abs=1e-12)
     assert raw[2] == pytest.approx(3.1, abs=1e-12)
@@ -89,7 +126,7 @@ def test_disc_raw_heavy_tail_instance(vars4):
 
 
 def test_disc_raw_monomial_gate():
-    raw = rank_disc_raw(ZERO_MONOMIAL_FV)
+    raw = get_ranker("disc_lex", discretized=False)(ZERO_MONOMIAL_FV)
     assert raw == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -191,6 +228,32 @@ def _random_fv(rng):
     fv[24] = float(rng.randint(0, 4))
     fv[25] = float(rng.randint(0, 120))
     return tuple(fv)
+
+
+def _hex(rank):
+    return tuple(v.hex() for v in rank)
+
+
+def test_disc_lex_template_matches_hand_coded_oracle():
+    # The oracle sums left to right from its first term, the template from
+    # 0.0; they differ only where every term of a sum is -0.0, which no
+    # feature produces.
+    raw = get_ranker("disc_lex", discretized=False)
+    disc = get_ranker("disc_lex")
+    template = RankerTemplate.depth_charge()
+    seeded = template.instantiate(template.default_weights())
+    vectors = [
+        extract_features(state)
+        for cases in builtin_suites().values()
+        for case in cases
+        for state in run_trajectory(case.initial_state(), DEFAULT_CAP).states
+    ]
+    rng = random.Random(7)
+    vectors += [_random_fv(rng) for _ in range(2000)]
+    for fv in vectors:
+        expected = _disc_raw_oracle(fv)
+        assert _hex(raw(fv)) == _hex(expected)
+        assert disc(fv) == seeded(fv) == discretize(expected)
 
 
 def test_rankers_finite_on_fuzzed_inputs():
