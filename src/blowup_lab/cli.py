@@ -26,6 +26,8 @@ from blowup_lab.benchmarks import (
 from blowup_lab.core import ParseError, State, VariableSet, parse_polynomial
 from blowup_lab.features import FEATURE_NAMES
 from blowup_lab.harness import (
+    DEFAULT_CAP,
+    DEFAULT_WINDOW,
     HarnessConfig,
     audit_trajectory,
     score_benchmark,
@@ -193,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="score a ranker over a suite")
     run.add_argument("--ranker", required=True, help=f"one of: {', '.join(ranker_names())}")
     run.add_argument("--suite", required=True, help="builtin suite name or manifest path")
-    run.add_argument("--m", type=int, default=5, help="bounded-delay window")
-    run.add_argument("--cap", type=int, default=30, help="step cap")
+    run.add_argument("--m", type=int, default=DEFAULT_WINDOW, help="bounded-delay window")
+    run.add_argument("--cap", type=int, default=DEFAULT_CAP, help="step cap")
     run.add_argument("--saturated", action="store_true", help="summarize with the saturated score")
     run.add_argument("--json", default=None, help="write the full report to this file")
     run.set_defaults(func=_cmd_run)
@@ -204,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--poly", required=True, help='polynomial text, e.g. "z^3 + x^6 + w^6"')
     trace.add_argument("--p", type=int, default=3, help="characteristic")
     trace.add_argument("--vars", default="x,y,w,z", help="comma-separated variables, elimination last")
-    trace.add_argument("--m", type=int, default=5)
-    trace.add_argument("--cap", type=int, default=30)
+    trace.add_argument("--m", type=int, default=DEFAULT_WINDOW)
+    trace.add_argument("--cap", type=int, default=DEFAULT_CAP)
     trace.add_argument("--csv", default=None, help="write CSV here instead of stdout")
     trace.set_defaults(func=_cmd_trace)
 
@@ -227,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--budget", type=int, required=True, help="candidate evaluations")
     search.add_argument("--seed", type=int, required=True)
     search.add_argument("--restarts", type=int, default=0)
-    search.add_argument("--m", type=int, default=5)
-    search.add_argument("--cap", type=int, default=30)
+    search.add_argument("--m", type=int, default=DEFAULT_WINDOW)
+    search.add_argument("--cap", type=int, default=DEFAULT_CAP)
     search.add_argument("--weights-out", default=None)
     search.add_argument("--history-out", default=None)
     search.set_defaults(func=_cmd_search)

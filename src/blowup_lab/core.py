@@ -112,10 +112,6 @@ class TaggedMonomial:
     def total_degree(self) -> int:
         return sum(self.exponents)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exponents) if e > 0)
-
 
 @dataclass(frozen=True)
 class IdealSpec:
@@ -150,9 +146,6 @@ class IdealSpec:
 
     def __bool__(self) -> bool:
         return bool(self.monomials)
-
-    def exponent_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(m.exponents for m in self.monomials)
 
 
 @dataclass(frozen=True)

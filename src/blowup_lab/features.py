@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from blowup_lab.core import MIXED, OBLIQUE, PURE_Z, IdealSpec, State, VariableSet
 from blowup_lab.simulator import (
@@ -192,21 +192,17 @@ def hilbert_samuel_base(state: State) -> int:
     return standard_monomial_count(generators, len(base_idx), d + 1)
 
 
-def extract_features(
-    state: State, allowed_tags: Optional[Iterable[str]] = None
-) -> tuple[float, ...]:
+def extract_features(state: State) -> tuple[float, ...]:
     """Compute the full 26-feature vector of a state.
 
     The empty ideal yields the all-zero vector with the monomial-phase flag
-    set.  allowed_tags feeds the monomial-phase detector only and is disabled
-    by default.  Everything but f4, f8, f14 and f25 reads the ideal alone and
-    comes from a process-wide memo of MEMO_ENTRIES distinct ideals; those
-    four are integer arithmetic on the boundary.
+    set.  Everything but f4, f8, f14 and f25 reads the ideal alone and comes
+    from a process-wide memo of MEMO_ENTRIES distinct ideals, keyed by
+    (ideal, vars); those four are integer arithmetic on the boundary.
     """
     if not state.ideal:
         return _EMPTY_IDEAL_FEATURES
-    tags = frozenset(allowed_tags) if allowed_tags is not None else None
-    values, min_base, weighted = _ideal_features(state.ideal, state.vars, tags)
+    values, min_base, weighted = _ideal_features(state.ideal, state.vars)
     base_mult = _base_multiplicities(state)
     fv = list(values)
     fv[4] = float(state.boundary.positive_count)
@@ -217,9 +213,7 @@ def extract_features(
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
-def _ideal_features(
-    ideal: IdealSpec, vars: VariableSet, allowed_tags: Optional[frozenset[str]]
-) -> tuple[tuple[float, ...], tuple, tuple]:
+def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, ...], tuple, tuple]:
     """The boundary-free part of extract_features on a nonempty ideal.
 
     Returns the 26 entries with f4, f8, f14 and f25 left at 0.0, the base
@@ -258,7 +252,7 @@ def _ideal_features(
     else:
         f7 = 0.0
 
-    f9 = 1 if is_monomial_phase(ideal, allowed_tags, z) else 0
+    f9 = 1 if is_monomial_phase(ideal, z) else 0
     f10 = 1 if all(e[i] % p == 0 for e in m_min for i in range(vars.dim)) else 0
     f11 = float(f0) if f1 == 0 else 1.0 / (1.0 + abs(f0 - f1))
 

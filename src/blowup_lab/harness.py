@@ -6,6 +6,10 @@ monomial-phase normalization of the first component, bounded-delay stalls of
 the best-so-far rank, and misalignment with drops of the order proxies f0
 (heavier) and f14 (lighter).  Secondary diagnostics (local increases, plateau
 lengths) are recorded but carry no penalty.
+
+The protocol is fixed: only the window and the step cap are settable
+(``HarnessConfig``).  The alignment weights ``HEAVY_WEIGHT``/``LIGHT_WEIGHT``,
+the ``STRUCTURAL_PENALTY`` and the curriculum ``STAGES`` are module constants.
 """
 
 from __future__ import annotations
@@ -18,49 +22,41 @@ from typing import Callable, Optional, Sequence
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.features import extract_features
 from blowup_lab.rankers import get_ranker
-from blowup_lab.simulator import DEFAULT_CAP, DEFAULT_WINDOW, Trajectory, run_trajectory
+from blowup_lab.simulator import DEFAULT_CAP, run_trajectory
 
 FLAG_DELAY = 1
 FLAG_NORMALIZATION = 2
 FLAG_ALIGN_F0 = 4
 FLAG_ALIGN_F14 = 8
 
+DEFAULT_WINDOW = 5
+
+#: Violations per missed f0 drop (heavy) and per missed f14 drop (light).
+HEAVY_WEIGHT = 1.0
+LIGHT_WEIGHT = 0.5
+#: Violations charged to a structurally broken trajectory.
+STRUCTURAL_PENALTY = 1000.0
+#: Curriculum: (case prefix, weight) per stage; None is the whole suite.
+STAGES: tuple[tuple[Optional[int], float], ...] = ((20, 1.0), (40, 2.0), (None, 4.0))
+
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Scoring knobs.
+    """The bounded-delay window and the step cap.
 
-    window/cap are the bounded-delay window and the step cap.  Alignment
-    weights make an f0 misalignment count heavier than an f14 one.  The stage
-    prefixes/weights define the curriculum (None means the whole suite).
-    delay_per_step accrues one violation per stalled step once the gap
-    reaches the window; switching it off counts each stall once.
-    align_at_entry includes the monomial-entry step in the alignment checks.
+    Delay accrues one violation per stalled step once the gap reaches the
+    window, and alignment includes the monomial-entry step.  The rest of the
+    protocol is HEAVY_WEIGHT, LIGHT_WEIGHT, STRUCTURAL_PENALTY and STAGES.
     """
 
     window: int = DEFAULT_WINDOW
     cap: int = DEFAULT_CAP
-    heavy_weight: float = 1.0
-    light_weight: float = 0.5
-    structural_penalty: float = 1000.0
-    stage_prefixes: tuple[Optional[int], ...] = (20, 40, None)
-    stage_weights: tuple[float, ...] = (1.0, 2.0, 4.0)
-    saturated: bool = True
-    delay_per_step: bool = True
-    align_at_entry: bool = True
-    allowed_tags: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be at least 1")
         if self.cap < 0:
             raise ValueError("cap must be nonnegative")
-        if self.heavy_weight <= 0 or self.light_weight <= 0:
-            raise ValueError("alignment weights must be positive")
-        if len(self.stage_prefixes) != len(self.stage_weights):
-            raise ValueError("stage prefixes and weights must align")
-        if any(p is not None and p < 0 for p in self.stage_prefixes):
-            raise ValueError("stage prefixes must be nonnegative or None")
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def audit_trajectory(
     if None in ranks or any(len(r) != len(ranks[0]) for r in ranks):
         report = ViolationReport(
             name=name,
-            total_violations=cfg.structural_penalty,
+            total_violations=STRUCTURAL_PENALTY,
             delay_violations=0,
             normalization_violations=0,
             align_f0=0.0,
@@ -179,12 +175,12 @@ def audit_trajectory(
             improved[t] = True
         best_stream.append(best)
         if t < tau and t - last_improve >= cfg.window:
-            if cfg.delay_per_step or t - last_improve == cfg.window:
-                delay += 1
-                flags[t] |= FLAG_DELAY
+            delay += 1
+            flags[t] |= FLAG_DELAY
 
-    # alignment: proxy drops must be reflected by an immediate rank decrease
-    align_hi = min(tau if cfg.align_at_entry else tau - 1, n - 1)
+    # alignment: proxy drops must be reflected by an immediate rank decrease,
+    # up to and including the monomial-entry step
+    align_hi = min(tau, n - 1)
     align_f0_count = 0
     align_f14_count = 0
     for t in range(1, align_hi + 1):
@@ -205,8 +201,8 @@ def audit_trajectory(
         run_length = run_length + 1 if c == 0 else 0
         max_plateau = max(max_plateau, run_length)
 
-    align_f0 = cfg.heavy_weight * align_f0_count
-    align_f14 = cfg.light_weight * align_f14_count
+    align_f0 = HEAVY_WEIGHT * align_f0_count
+    align_f14 = LIGHT_WEIGHT * align_f14_count
     total = float(normalization + delay) + align_f0 + align_f14
 
     report = ViolationReport(
@@ -242,8 +238,8 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     Ranker crashes are recorded as None ranks, which the audit treats as
     structural failures.
     """
-    trajectory = run_trajectory(initial, cfg.cap, cfg.allowed_tags)
-    feature_stream = [extract_features(s, cfg.allowed_tags) for s in trajectory.states]
+    trajectory = run_trajectory(initial, cfg.cap)
+    feature_stream = [extract_features(s) for s in trajectory.states]
     rank_stream = []
     for fv in feature_stream:
         try:
@@ -273,12 +269,6 @@ class SuiteReport:
     def all_solved(self) -> bool:
         return self.solved_count == len(self.reports)
 
-    def report_for(self, name: str) -> ViolationReport:
-        for r in self.reports:
-            if r.name == name:
-                return r
-        raise KeyError(f"no case named {name!r} in suite report")
-
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -307,7 +297,7 @@ def _score_one(case, ranker: Callable, cfg: HarnessConfig) -> ViolationReport:
     if not report.structural_failure and not check_determinism(ranker, feature_stream[0]):
         report = replace(
             report,
-            total_violations=report.total_violations + cfg.structural_penalty,
+            total_violations=report.total_violations + STRUCTURAL_PENALTY,
             structural_failure=True,
             solved=False,
         )
@@ -338,11 +328,15 @@ def score_benchmark(
 
     total = sum(r.total_violations for r in reports)
     staged = 0.0
-    for prefix, weight in zip(cfg.stage_prefixes, cfg.stage_weights):
-        upto = len(reports) if prefix is None else min(prefix, len(reports))
-        staged += weight * sum(r.total_violations for r in reports[:upto])
+    for prefix, weight in STAGES:
+        staged += weight * sum(r.total_violations for r in reports[:prefix])
     solved = sum(1 for r in reports if r.solved)
-    saturated = 2.0 * solved - sum(math.tanh(r.total_violations / 10.0) for r in reports)
+    # a plain left-to-right loop: float sum() is compensated from Python 3.12
+    # on, which moves the last bits of the score between versions
+    penalty = 0.0
+    for r in reports:
+        penalty += math.tanh(r.total_violations / 10.0)
+    saturated = 2.0 * solved - penalty
 
     if ranker_name is None:
         ranker_name = getattr(ranker, "name", ranker.__class__.__name__)

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-Rank = Sequence[float]
-
 LESS = -1
 EQUAL = 0
 GREATER = 1
@@ -211,21 +209,11 @@ def lex_compare(a: Sequence[float], b: Sequence[float]) -> int:
 
 @dataclass(frozen=True)
 class Ranker:
-    """A named pure rank function, optionally composed with discretization.
-
-    width is the number of components raw returns; discretization needs 5.
-    """
+    """A named pure rank function, optionally composed with discretization."""
 
     name: str
     raw: Callable[[Sequence[float]], tuple]
     discretized: bool = False
-    width: int = 5
-
-    def __post_init__(self) -> None:
-        if self.discretized and self.width != 5:
-            raise ValueError(
-                f"ranker {self.name!r} returns {self.width} components; discretization needs 5"
-            )
 
     def __call__(self, fv: Sequence[float]) -> tuple:
         rank = self.raw(fv)
@@ -338,12 +326,10 @@ class RankerTemplate:
                 values.append(component(fv))
             return tuple(values)
 
-        return Ranker(
-            name="template", raw=raw, discretized=self.discretized, width=1 + len(bound)
-        )
+        return Ranker(name="template", raw=raw, discretized=self.discretized)
 
     @classmethod
-    def depth_charge(cls, discretized: bool = True) -> "RankerTemplate":
+    def depth_charge(cls) -> "RankerTemplate":
         """The disc_lex ranker's shape; its default weights are disc_lex."""
         return cls(
             components=(
@@ -351,8 +337,7 @@ class RankerTemplate:
                 ComponentSpec(LINEAR, ((10, 1.0), (19, 1.0), (20, 0.1))),
                 ComponentSpec(DEPTH_CHARGE, ((24, 4.0), (25, 1.0), (23, 5.0), (10, 10.0))),
                 ComponentSpec(LINEAR, ((18, 1.0), (8, 0.5))),
-            ),
-            discretized=discretized,
+            )
         )
 
 
@@ -362,7 +347,7 @@ def _disc_lex() -> Ranker:
 
 
 _RANKERS: dict[str, Ranker] = {
-    "two_component": Ranker("two_component", rank_two_component, width=2),
+    "two_component": Ranker("two_component", rank_two_component),
     "clean_lex": Ranker("clean_lex", rank_clean_lex),
     "disc_lex": _disc_lex(),
     "r100": Ranker("r100", rank_r100_raw, discretized=True),
@@ -373,9 +358,8 @@ def ranker_names() -> tuple[str, ...]:
     return tuple(_RANKERS)
 
 
-def get_ranker(name: str, discretized: bool | None = None) -> Ranker:
-    """Look up a built-in ranker; discretized overrides the registry default."""
+def get_ranker(name: str) -> Ranker:
+    """Look up a built-in ranker; its raw attribute is the undiscretized rank."""
     if name not in _RANKERS:
         raise ValueError(f"unknown ranker {name!r}; available: {', '.join(_RANKERS)}")
-    ranker = _RANKERS[name]
-    return ranker if discretized is None else replace(ranker, discretized=discretized)
+    return _RANKERS[name]

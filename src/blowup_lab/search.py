@@ -10,7 +10,7 @@ a heavy-duty optimizer.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from blowup_lab.harness import HarnessConfig, SuiteReport, score_benchmark
 from blowup_lab.rankers import RankerTemplate
@@ -23,13 +23,12 @@ def hill_climb(
     budget: int,
     seed: int,
     restarts: int = 0,
-    initial_weights: Optional[Sequence[float]] = None,
 ) -> tuple[tuple[float, ...], SuiteReport, tuple[tuple[int, float], ...]]:
     """Strict-improvement hill climbing on the saturated suite score.
 
     Deterministic in (seed, suite, cfg).  The budget counts candidate
-    evaluations; the initial weights are scored for free, so budget 0 returns
-    them unchanged.  History records (evaluation index, score) for the start
+    evaluations; the template's default weights are the start and are scored
+    for free, so budget 0 returns them unchanged.  History records (evaluation index, score) for the start
     and for every global improvement.
     """
     if budget < 0:
@@ -54,10 +53,7 @@ def hill_climb(
         moved[idx] = min(bound, max(-bound, moved[idx] + rng.gauss(0.0, sigma)))
         return tuple(moved)
 
-    start = tuple(initial_weights) if initial_weights is not None else template.default_weights()
-    if len(start) != template.size():
-        raise ValueError(f"expected {template.size()} initial weights, got {len(start)}")
-
+    start = template.default_weights()
     best_weights = start
     best_score, best_report = score(start)
     history: list[tuple[int, float]] = [(0, best_score)]

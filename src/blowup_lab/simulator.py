@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from blowup_lab.core import PURE_Z, Boundary, IdealSpec, State, TaggedMonomial, VariableSet
 
@@ -19,7 +19,6 @@ CODIM2 = "codim2"
 DIVISOR_Z = "divisor_z"
 
 DEFAULT_CAP = 30
-DEFAULT_WINDOW = 5
 
 #: Distinct ideals kept by each process-wide memo: the chart rewrite below and
 #: the ideal part of the feature vector.  This holds the fixed-ideal tail every
@@ -43,11 +42,6 @@ class Center:
 
     kind: str
     var_index: int
-
-    def describe(self, names: tuple[str, ...]) -> str:
-        if self.kind == CODIM2:
-            return f"codim2({names[self.var_index]})"
-        return "divisor_z"
 
 
 def monic_z_orders(ideal: IdealSpec, elim_index: Optional[int] = None) -> list[int]:
@@ -174,25 +168,16 @@ def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]
     return IdealSpec(tuple(transformed)), center, exc
 
 
-def is_monomial_phase(
-    ideal: IdealSpec,
-    allowed_tags: Optional[Iterable[str]] = None,
-    elim_index: Optional[int] = None,
-) -> bool:
+def is_monomial_phase(ideal: IdealSpec, elim_index: Optional[int] = None) -> bool:
     """True iff no monomial involves the elimination variable.
 
-    When allowed_tags is given, every tag must additionally belong to it (the
-    tag check is disabled by default).  The empty ideal is vacuously in
-    monomial phase.
+    Tags are not consulted.  The empty ideal is vacuously in monomial phase.
     """
     if not ideal:
         return True
-    tags = frozenset(allowed_tags) if allowed_tags is not None else None
     z = elim_index if elim_index is not None else len(ideal.monomials[0].exponents) - 1
     for m in ideal:
         if m.exponents[z] != 0:
-            return False
-        if tags is not None and m.tag not in tags:
             return False
     return True
 
@@ -214,11 +199,7 @@ class Trajectory:
         return len(self.states)
 
 
-def run_trajectory(
-    initial: State,
-    cap: int = DEFAULT_CAP,
-    allowed_tags: Optional[Iterable[str]] = None,
-) -> Trajectory:
+def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     """Apply the canonical step until monomial phase or the step cap.
 
     The empty ideal counts as monomial phase (every transform can discard all
@@ -232,7 +213,7 @@ def run_trajectory(
     excs: list[int] = []
     monomial_step: Optional[int] = None
 
-    if is_monomial_phase(initial.ideal, allowed_tags, z):
+    if is_monomial_phase(initial.ideal, z):
         monomial_step = 0
     else:
         current = initial
@@ -244,7 +225,7 @@ def run_trajectory(
             excs.append(exc)
             # the memoized chart hands a fixed-ideal tail back its own ideal
             # object, which already failed the check one step earlier
-            if current.ideal is not previous and is_monomial_phase(current.ideal, allowed_tags, z):
+            if current.ideal is not previous and is_monomial_phase(current.ideal, z):
                 monomial_step = k + 1
                 break
 

@@ -19,6 +19,9 @@ from blowup_lab.harness import (
     FLAG_ALIGN_F14,
     FLAG_DELAY,
     FLAG_NORMALIZATION,
+    HEAVY_WEIGHT,
+    LIGHT_WEIGHT,
+    STRUCTURAL_PENALTY,
     HarnessConfig,
     TrajectoryAudit,
     ViolationReport,
@@ -64,7 +67,7 @@ def _reference_audit(
     if structural:
         report = ViolationReport(
             name=name,
-            total_violations=cfg.structural_penalty,
+            total_violations=STRUCTURAL_PENALTY,
             delay_violations=0,
             normalization_violations=0,
             align_f0=0.0,
@@ -104,11 +107,10 @@ def _reference_audit(
             improved[t] = True
         best_stream.append(best)
         if t < tau and t - last_improve >= cfg.window:
-            if cfg.delay_per_step or t - last_improve == cfg.window:
-                delay += 1
-                flags[t] |= FLAG_DELAY
+            delay += 1
+            flags[t] |= FLAG_DELAY
 
-    align_hi = min(tau if cfg.align_at_entry else tau - 1, n - 1)
+    align_hi = min(tau, n - 1)
     align_f0_count = 0
     align_f14_count = 0
     for t in range(1, align_hi + 1):
@@ -132,8 +134,8 @@ def _reference_audit(
             run_length = 0
         max_plateau = max(max_plateau, run_length)
 
-    align_f0 = cfg.heavy_weight * align_f0_count
-    align_f14 = cfg.light_weight * align_f14_count
+    align_f0 = HEAVY_WEIGHT * align_f0_count
+    align_f14 = LIGHT_WEIGHT * align_f14_count
     total = float(normalization + delay) + align_f0 + align_f14
 
     report = ViolationReport(
@@ -197,14 +199,7 @@ def _streams(draw):
     return ranks, features
 
 
-_configs = st.builds(
-    HarnessConfig,
-    window=st.integers(1, 6),
-    heavy_weight=st.sampled_from((1.0, 2.5)),
-    light_weight=st.sampled_from((0.5, 0.25)),
-    delay_per_step=st.booleans(),
-    align_at_entry=st.booleans(),
-)
+_configs = st.builds(HarnessConfig, window=st.integers(1, 6))
 
 
 @settings(max_examples=600, deadline=None)

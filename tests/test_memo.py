@@ -50,41 +50,32 @@ def _states(draw):
     return State(IdealSpec(tuple(monomials)), Boundary(boundary), vars)
 
 
-_allowed_tags = st.one_of(
-    st.none(),
-    st.lists(st.sampled_from(_TAGS), unique=True).flatmap(
-        lambda tags: st.sampled_from((tuple(tags), list(tags)))
-    ),
-)
-
-
 def _hex(fv):
     return [v.hex() for v in fv]
 
 
 @settings(max_examples=300, deadline=None)
-@given(state=_states(), allowed_tags=_allowed_tags)
-def test_memoized_features_match_uncached(state, allowed_tags):
-    # warm the memo with the same ideal under another boundary, other tags and
-    # another characteristic, so a key that missed a field would hand back the
-    # wrong entry
+@given(state=_states())
+def test_memoized_features_match_uncached(state):
+    # warm the memo with the same ideal under another boundary and another
+    # characteristic, so a key that missed a field would hand back the wrong
+    # entry
     other_p = VariableSet(state.vars.names, state.vars.elim_index, 7)
-    extract_features(State.initial(state.ideal, other_p), allowed_tags)
-    extract_features(State.initial(state.ideal, state.vars), None)
-    extract_features(State.initial(state.ideal, state.vars), ())
-    memoized = extract_features(state, allowed_tags)
+    extract_features(State.initial(state.ideal, other_p))
+    extract_features(State.initial(state.ideal, state.vars))
+    memoized = extract_features(state)
     with patch.object(features, "_ideal_features", features._ideal_features.__wrapped__):
-        plain = extract_features(state, allowed_tags)
+        plain = extract_features(state)
     assert _hex(memoized) == _hex(plain)
     assert memoized[14] == weighted_order_proxy(state)
 
 
-def _plain_trajectory(initial, cap, allowed_tags):
+def _plain_trajectory(initial, cap):
     # run_trajectory as a plain loop: the uncached chart and the monomial-phase
     # check after every step, including steps that keep the ideal
     z = initial.vars.elim_index
     states, centers, excs = [initial], [], []
-    if is_monomial_phase(initial.ideal, allowed_tags, z):
+    if is_monomial_phase(initial.ideal, z):
         return states, centers, excs, 0
     with patch.object(simulator, "_chart", simulator._chart.__wrapped__):
         for k in range(cap):
@@ -92,21 +83,20 @@ def _plain_trajectory(initial, cap, allowed_tags):
             states.append(current)
             centers.append(center)
             excs.append(exc)
-            if is_monomial_phase(current.ideal, allowed_tags, z):
+            if is_monomial_phase(current.ideal, z):
                 return states, centers, excs, k + 1
     return states, centers, excs, None
 
 
 @settings(max_examples=150, deadline=None)
-@given(state=_states(), cap=st.integers(0, 40), allowed_tags=_allowed_tags)
-def test_step_memo_matches_uncached_chart(state, cap, allowed_tags):
-    for tags in (allowed_tags, None):
-        memoized = run_trajectory(state, cap, tags)
-        states, centers, excs, monomial_step = _plain_trajectory(state, cap, tags)
-        assert memoized.states == tuple(states)
-        assert memoized.centers == tuple(centers)
-        assert memoized.excs == tuple(excs)
-        assert memoized.monomial_step == monomial_step
+@given(state=_states(), cap=st.integers(0, 40))
+def test_step_memo_matches_uncached_chart(state, cap):
+    memoized = run_trajectory(state, cap)
+    states, centers, excs, monomial_step = _plain_trajectory(state, cap)
+    assert memoized.states == tuple(states)
+    assert memoized.centers == tuple(centers)
+    assert memoized.excs == tuple(excs)
+    assert memoized.monomial_step == monomial_step
 
 
 def test_builtin_sweep_computes_each_ideal_once():

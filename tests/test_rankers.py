@@ -78,11 +78,11 @@ def test_registry_names():
 
 
 def test_registry_discretized_override():
-    raw = get_ranker("disc_lex", discretized=False)
+    # a discretized ranker's raw attribute is its undiscretized rank
+    disc = get_ranker("disc_lex")
     fv = ZERO_MONOMIAL_FV
-    assert raw(fv) == _disc_raw_oracle(fv)
-    with pytest.raises(ValueError):
-        get_ranker("two_component", discretized=True)
+    assert disc.raw(fv) == _disc_raw_oracle(fv)
+    assert disc(fv) == discretize(disc.raw(fv))
     with pytest.raises(ValueError):
         get_ranker("nope")
 
@@ -116,7 +116,7 @@ def test_clean_lex_cross_case(vars4):
 
 
 def test_disc_raw_heavy_tail_instance(vars4):
-    raw = get_ranker("disc_lex", discretized=False)(_fv("z^3 + x^12 + y^6 + w^9*y^4 + x^9*y^8*w^10", vars4))
+    raw = get_ranker("disc_lex").raw(_fv("z^3 + x^12 + y^6 + w^9*y^4 + x^9*y^8*w^10", vars4))
     assert raw[0] == 3.0
     assert raw[1] == pytest.approx(42.8, abs=1e-12)
     assert raw[2] == pytest.approx(3.1, abs=1e-12)
@@ -126,7 +126,7 @@ def test_disc_raw_heavy_tail_instance(vars4):
 
 
 def test_disc_raw_monomial_gate():
-    raw = get_ranker("disc_lex", discretized=False)(ZERO_MONOMIAL_FV)
+    raw = get_ranker("disc_lex").raw(ZERO_MONOMIAL_FV)
     assert raw == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -238,7 +238,7 @@ def test_disc_lex_template_matches_hand_coded_oracle():
     # The oracle sums left to right from its first term, the template from
     # 0.0; they differ only where every term of a sum is -0.0, which no
     # feature produces.
-    raw = get_ranker("disc_lex", discretized=False)
+    raw = get_ranker("disc_lex").raw
     disc = get_ranker("disc_lex")
     template = RankerTemplate.depth_charge()
     seeded = template.instantiate(template.default_weights())

@@ -58,7 +58,7 @@ def test_discretized_template_needs_four_components():
     with pytest.raises(ValueError):
         RankerTemplate(components=(spec,) * 5)
     plain = RankerTemplate(components=(spec,) * 3, discretized=False)
-    assert plain.instantiate((1.0,) * 3).width == 4
+    assert len(plain.instantiate((1.0,) * 3)(tuple(range(26)))) == 4
 
 
 def test_budget_zero_returns_initial(template, suite_focused71, default_cfg):

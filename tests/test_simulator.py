@@ -158,12 +158,6 @@ def test_is_monomial_phase(vars4):
     assert is_monomial_phase(IdealSpec(()))
 
 
-def test_is_monomial_phase_tag_check(vars4):
-    ideal = parse_polynomial("x^7*y^5*w^4", vars4)
-    assert is_monomial_phase(ideal, allowed_tags=("mixed", "monomial-like"))
-    assert not is_monomial_phase(ideal, allowed_tags=("monomial-like",))
-
-
 def test_run_trajectory_immediate_monomial(vars4):
     traj = run_trajectory(_state("x^9*y^6", vars4), 30)
     assert traj.monomial_step == 0
