@@ -17,10 +17,6 @@ PURE_Z = "pure-z"
 PURE_BASE = "pure-base"
 MIXED = "mixed"
 OBLIQUE = "oblique"
-MONOMIAL_LIKE = "monomial-like"
-
-#: Tags with reserved meaning; any other string is accepted as a custom tag.
-KNOWN_TAGS = (PURE_Z, PURE_BASE, MIXED, OBLIQUE, MONOMIAL_LIKE)
 
 
 class ParseError(ValueError):

@@ -9,12 +9,10 @@ Four built-in rankers are provided:
   with the floor/offset/log discretization map into natural-number tuples.
 
 ``disc_lex`` is defined as the depth-charge ``RankerTemplate`` at its default
-weights.  A template fixes the shape of a rank: the first component is the
+weights.  The template fixes the shape of a rank: the first component is the
 hard monomial-phase gate (0 in monomial phase, order proxy otherwise) and is
-not searchable; the remaining components are weighted sums over declared
-feature terms, with an optional fixed nonlinear block (the negated cubic
-depth charge, or a tanh saturation).  Any in-bounds weight assignment yields
-a pure ranker, so the purity probe passes by construction.
+not searchable; the remaining four are weighted sums over fixed feature terms,
+one of them inside the negated cubic depth charge.
 
 Every ranker is a pure function: identical feature vectors give bit-identical
 outputs.  The first component is 0 exactly on monomial-phase inputs and
@@ -220,125 +218,59 @@ class Ranker:
         return discretize(rank) if self.discretized else rank
 
 
-LINEAR = "linear"
-DEPTH_CHARGE = "depth_charge"
-TANH_BLOCK = "tanh_block"
-
-
-@dataclass(frozen=True)
-class ComponentSpec:
-    """One rank component: a weighted sum with an optional fixed nonlinearity.
-
-    kind "linear": value = sum of weight * feature over the declared terms,
-    evaluated in declaration order.
-    kind "tanh_block": 50 * tanh(linear part / 5).
-    kind "depth_charge": -(w0*f24^3 + w1*f25 + w2*(1-f23)*f24
-    + w3*f10*f24*(1-f23)); exactly four terms, whose weights are w0..w3 and
-    whose feature indices are fixed by the formula.
-    """
-
-    kind: str
-    terms: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LINEAR, TANH_BLOCK, DEPTH_CHARGE):
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.kind == DEPTH_CHARGE and len(self.terms) != 4:
-            raise ValueError(f"a depth_charge component has 4 terms, got {len(self.terms)}")
-
-    def bind(self, weights: Sequence[float]) -> Callable[[Sequence[float]], float]:
-        """The component's value as a function of the feature vector."""
-        if self.kind == DEPTH_CHARGE:
-            w0, w1, w2, w3 = weights
-
-            def depth_charge(fv: Sequence[float]) -> float:
-                f10 = float(fv[10])
-                f23 = float(fv[23])
-                f24 = float(fv[24])
-                f25 = float(fv[25])
-                # inverted depth/complexity accumulator, amplified when the
-                # Jacobian carries no information
-                interaction = f10 * f24 * (1.0 - f23)
-                return -1.0 * (
-                    w0 * (f24 ** 3) + w1 * f25 + w2 * (1.0 - f23) * f24 + w3 * interaction
-                )
-
-            return depth_charge
-
-        pairs = tuple((index, w) for (index, _), w in zip(self.terms, weights))
-
-        def linear(fv: Sequence[float]) -> float:
-            total = 0.0
-            for index, w in pairs:
-                total = total + w * float(fv[index])
-            return total
-
-        if self.kind == TANH_BLOCK:
-            return lambda fv: 50.0 * math.tanh(linear(fv) / 5.0)
-        return linear
-
-    def initial_weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.terms)
+# disc_lex's weights, in the order RankerTemplate.instantiate reads them:
+# c2 over (f14, f21, f1, f5), c3 over (f10, f19, f20), the depth charge over
+# (f24^3, f25, (1 - f23) * f24, f10 * f24 * (1 - f23)), then c5 over (f18, f8).
+DEPTH_CHARGE_WEIGHTS = (0.5, 0.5, 0.05, 0.01, 1.0, 1.0, 0.1, 4.0, 1.0, 5.0, 10.0, 1.0, 0.5)
 
 
 @dataclass(frozen=True)
 class RankerTemplate:
-    """Shape of a searchable ranker: the gate followed by the components."""
+    """Shape of the searchable ranker: the gate, then four weighted components.
 
-    components: tuple[ComponentSpec, ...]
-    weight_bound: float = 20.0
-    discretized: bool = True
-
-    def __post_init__(self) -> None:
-        if self.discretized and len(self.components) != 4:
-            raise ValueError(
-                f"a discretized template has 4 components after the gate, "
-                f"got {len(self.components)}; discretization needs 5"
-            )
+    The gate is 0 in monomial phase and the order proxy f0 otherwise; it
+    takes no weight.  c2, c3 and c5 are weighted sums, each evaluated left to
+    right from 0.0 in the order of ``DEPTH_CHARGE_WEIGHTS``; c4 is the negated
+    depth charge.  The rank is discretized.
+    """
 
     def size(self) -> int:
-        return sum(len(c.terms) for c in self.components)
+        return len(DEPTH_CHARGE_WEIGHTS)
 
     def default_weights(self) -> tuple[float, ...]:
-        flat: list[float] = []
-        for c in self.components:
-            flat.extend(c.initial_weights())
-        return tuple(flat)
-
-    def split(self, weights: Sequence[float]) -> tuple[tuple[float, ...], ...]:
-        if len(weights) != self.size():
-            raise ValueError(f"expected {self.size()} weights, got {len(weights)}")
-        parts = []
-        offset = 0
-        for c in self.components:
-            parts.append(tuple(weights[offset : offset + len(c.terms)]))
-            offset += len(c.terms)
-        return tuple(parts)
+        return DEPTH_CHARGE_WEIGHTS
 
     def instantiate(self, weights: Sequence[float]) -> Ranker:
-        bound = tuple(
-            spec.bind(ws) for spec, ws in zip(self.components, self.split(tuple(weights)))
-        )
+        weights = tuple(weights)
+        if len(weights) != self.size():
+            raise ValueError(f"expected {self.size()} weights, got {len(weights)}")
+        a0, a1, a2, a3, b0, b1, b2, d0, d1, d2, d3, e0, e1 = weights
 
         def raw(fv: Sequence[float]) -> tuple:
-            values = [0.0 if int(fv[9]) == 1 else float(fv[0])]
-            for component in bound:
-                values.append(component(fv))
-            return tuple(values)
+            c1 = 0.0 if int(fv[9]) == 1 else float(fv[0])
+            f10 = float(fv[10])
+            f23 = float(fv[23])
+            f24 = float(fv[24])
+            # inverted depth/complexity accumulator, amplified when the
+            # Jacobian carries no information
+            interaction = f10 * f24 * (1.0 - f23)
+            c2 = (
+                0.0 + a0 * float(fv[14]) + a1 * float(fv[21])
+                + a2 * float(fv[1]) + a3 * float(fv[5])
+            )
+            c3 = 0.0 + b0 * f10 + b1 * float(fv[19]) + b2 * float(fv[20])
+            c4 = -1.0 * (
+                d0 * (f24 ** 3) + d1 * float(fv[25]) + d2 * (1.0 - f23) * f24 + d3 * interaction
+            )
+            c5 = 0.0 + e0 * float(fv[18]) + e1 * float(fv[8])
+            return (c1, c2, c3, c4, c5)
 
-        return Ranker(name="template", raw=raw, discretized=self.discretized)
+        return Ranker(name="template", raw=raw, discretized=True)
 
     @classmethod
     def depth_charge(cls) -> "RankerTemplate":
         """The disc_lex ranker's shape; its default weights are disc_lex."""
-        return cls(
-            components=(
-                ComponentSpec(LINEAR, ((14, 0.5), (21, 0.5), (1, 0.05), (5, 0.01))),
-                ComponentSpec(LINEAR, ((10, 1.0), (19, 1.0), (20, 0.1))),
-                ComponentSpec(DEPTH_CHARGE, ((24, 4.0), (25, 1.0), (23, 5.0), (10, 10.0))),
-                ComponentSpec(LINEAR, ((18, 1.0), (8, 0.5))),
-            )
-        )
+        return cls()
 
 
 def _disc_lex() -> Ranker:

@@ -15,6 +15,10 @@ from typing import Sequence
 from blowup_lab.harness import HarnessConfig, SuiteReport, score_benchmark
 from blowup_lab.rankers import RankerTemplate
 
+# Every weight stays in [-WEIGHT_BOUND, WEIGHT_BOUND]; mutation steps have
+# standard deviation 0.1 * WEIGHT_BOUND.
+WEIGHT_BOUND = 20.0
+
 
 def hill_climb(
     template: RankerTemplate,
@@ -28,8 +32,8 @@ def hill_climb(
 
     Deterministic in (seed, suite, cfg).  The budget counts candidate
     evaluations; the template's default weights are the start and are scored
-    for free, so budget 0 returns them unchanged.  History records (evaluation index, score) for the start
-    and for every global improvement.
+    for free, so budget 0 returns them unchanged.  History records
+    (evaluation index, score) for the start and for every global improvement.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -37,8 +41,7 @@ def hill_climb(
         raise ValueError("restarts must be nonnegative")
 
     rng = random.Random(seed)
-    bound = template.weight_bound
-    sigma = 0.1 * bound
+    sigma = 0.1 * WEIGHT_BOUND
 
     def score(weights: tuple[float, ...]) -> tuple[float, SuiteReport]:
         report = score_benchmark(
@@ -50,7 +53,7 @@ def hill_climb(
     def mutate(weights: tuple[float, ...]) -> tuple[float, ...]:
         idx = rng.randrange(len(weights))
         moved = list(weights)
-        moved[idx] = min(bound, max(-bound, moved[idx] + rng.gauss(0.0, sigma)))
+        moved[idx] = min(WEIGHT_BOUND, max(-WEIGHT_BOUND, moved[idx] + rng.gauss(0.0, sigma)))
         return tuple(moved)
 
     start = template.default_weights()
@@ -69,7 +72,9 @@ def hill_climb(
         else:
             if round_budget == 0:
                 continue
-            current = tuple(rng.uniform(-bound, bound) for _ in range(template.size()))
+            current = tuple(
+                rng.uniform(-WEIGHT_BOUND, WEIGHT_BOUND) for _ in range(template.size())
+            )
             evaluations += 1
             round_budget -= 1
             current_score, report = score(current)

@@ -195,9 +195,6 @@ class Trajectory:
     def terminated_monomial(self) -> bool:
         return self.monomial_step is not None
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     """Apply the canonical step until monomial phase or the step cap.

@@ -260,11 +260,15 @@ def test_saturated_score_sums_left_to_right(suite_focused71, default_cfg):
     assert report.saturated_score.hex() == "-0x1.df7267806beb8p+5"
 
 
-def test_saturated_score_example_values():
-    # 100 clean cases score 200; one stubborn case at 10 violations costs
-    # tanh(1) against the 99 solved
-    assert 2.0 * 100 - 0.0 == 200.0
-    assert 2.0 * 99 - math.tanh(1.0) == pytest.approx(198 - math.tanh(1.0))
+def test_saturated_score_example_values(suite_extended100, default_cfg):
+    # r100 solves 99 of extended100; the one stubborn case at 10 violations
+    # costs tanh(10 / 10) against the 99 solved
+    report = score_benchmark(get_ranker("r100"), suite_extended100, default_cfg)
+    assert report.solved_count == 99
+    unsolved = [case for case in report.reports if not case.solved]
+    assert [case.name for case in unsolved] == ["p3_A4_deep_variable_w"]
+    assert unsolved[0].total_violations == 10.0
+    assert report.saturated_score == 2.0 * 99 - math.tanh(1.0)
 
 
 def test_verify_counterexamples_findings():

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup_lab.benchmarks import builtin_suites
@@ -234,6 +235,17 @@ def _hex(rank):
     return tuple(v.hex() for v in rank)
 
 
+@functools.lru_cache(maxsize=None)
+def _builtin_vectors():
+    """Every builtin-suite state's feature vector at the default cap."""
+    return tuple(
+        extract_features(state)
+        for cases in builtin_suites().values()
+        for case in cases
+        for state in run_trajectory(case.initial_state(), DEFAULT_CAP).states
+    )
+
+
 def test_disc_lex_template_matches_hand_coded_oracle():
     # The oracle sums left to right from its first term, the template from
     # 0.0; they differ only where every term of a sum is -0.0, which no
@@ -242,18 +254,63 @@ def test_disc_lex_template_matches_hand_coded_oracle():
     disc = get_ranker("disc_lex")
     template = RankerTemplate.depth_charge()
     seeded = template.instantiate(template.default_weights())
-    vectors = [
-        extract_features(state)
-        for cases in builtin_suites().values()
-        for case in cases
-        for state in run_trajectory(case.initial_state(), DEFAULT_CAP).states
-    ]
+    vectors = list(_builtin_vectors())
     rng = random.Random(7)
     vectors += [_random_fv(rng) for _ in range(2000)]
     for fv in vectors:
         expected = _disc_raw_oracle(fv)
         assert _hex(raw(fv)) == _hex(expected)
         assert disc(fv) == seeded(fv) == discretize(expected)
+
+
+def _template_oracle(weights, fv):
+    """The template's generic evaluation before its sums were unrolled.
+
+    The gate, then each linear component as a loop over its (feature index,
+    weight) terms from 0.0 in declaration order, with the depth charge third.
+    """
+    def linear(indices, ws):
+        total = 0.0
+        for index, w in zip(indices, ws):
+            total = total + w * float(fv[index])
+        return total
+
+    w0, w1, w2, w3 = weights[7:11]
+    f10 = float(fv[10])
+    f23 = float(fv[23])
+    f24 = float(fv[24])
+    f25 = float(fv[25])
+    interaction = f10 * f24 * (1.0 - f23)
+    charge = -1.0 * (w0 * (f24 ** 3) + w1 * f25 + w2 * (1.0 - f23) * f24 + w3 * interaction)
+    return (
+        0.0 if int(fv[9]) == 1 else float(fv[0]),
+        linear((14, 21, 1, 5), weights[0:4]),
+        linear((10, 19, 20), weights[4:7]),
+        charge,
+        linear((18, 8), weights[11:13]),
+    )
+
+
+_WEIGHT = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 20.0, -20.0)),
+    st.floats(-20.0, 20.0),
+)
+_VECTOR = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: _random_fv(random.Random(seed))),
+    st.deferred(lambda: st.sampled_from(_builtin_vectors())),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(*[_WEIGHT] * 13), st.lists(_VECTOR, min_size=1, max_size=8))
+@example((-0.0,) * 13, [ZERO_MONOMIAL_FV])
+@example(tuple(float(i) for i in range(1, 14)), [tuple(float(i + 1) for i in range(26))])
+def test_template_matches_generic_evaluation(weights, vectors):
+    ranker = RankerTemplate.depth_charge().instantiate(weights)
+    for fv in vectors:
+        expected = _template_oracle(weights, fv)
+        assert _hex(ranker.raw(fv)) == _hex(expected)
+        assert ranker(fv) == discretize(expected)
 
 
 def test_rankers_finite_on_fuzzed_inputs():
