@@ -43,15 +43,17 @@ class ManifestError(ValueError):
 @dataclass(frozen=True)
 class BenchmarkCase:
     name: str
-    p: int
-    dim: int
     vars: VariableSet
     ideal: IdealSpec
     provenance: str
 
-    def __post_init__(self) -> None:
-        if self.vars.dim != self.dim or self.vars.char_p != self.p:
-            raise ValueError(f"case {self.name}: vars do not match p/dim")
+    @property
+    def p(self) -> int:
+        return self.vars.char_p
+
+    @property
+    def dim(self) -> int:
+        return self.vars.dim
 
     def initial_state(self) -> State:
         return State(ideal=self.ideal, boundary=Boundary.zero(self.vars), vars=self.vars)
@@ -63,8 +65,7 @@ class BenchmarkCase:
 def _case(name: str, p: int, dim: int, poly: str, provenance: str) -> BenchmarkCase:
     vars = VariableSet.standard(dim, p)
     return BenchmarkCase(
-        name=name, p=p, dim=dim, vars=vars, ideal=parse_polynomial(poly, vars),
-        provenance=provenance,
+        name=name, vars=vars, ideal=parse_polynomial(poly, vars), provenance=provenance
     )
 
 
@@ -270,7 +271,9 @@ def load_manifest(path) -> tuple[BenchmarkCase, ...]:
     """Read a JSON manifest: [{name, p, dim, vars, poly, tags?, notes?}, ...].
 
     The last variable in ``vars`` is the elimination variable.  An explicit
-    ``tags`` array overrides tag inference monomial by monomial.
+    ``tags`` array overrides tag inference monomial by monomial.  name, poly
+    and notes must be strings, p and dim integers, and vars and tags arrays
+    of strings; any other type raises ManifestError.
     """
     path = Path(path)
     try:
@@ -288,14 +291,13 @@ def load_manifest(path) -> tuple[BenchmarkCase, ...]:
         try:
             if not isinstance(entry, dict):
                 raise ManifestError("entry is not an object")
-            vars_list = entry["vars"]
-            p = entry["p"]
-            dim = entry["dim"]
+            vars_list = _field(entry, "vars", list)
+            dim = _field(entry, "dim", int)
             if dim != len(vars_list):
                 raise ManifestError(f"dim {dim} does not match {len(vars_list)} variables")
-            vars = VariableSet(tuple(vars_list), len(vars_list) - 1, p)
-            ideal = parse_polynomial(entry["poly"], vars)
-            tags = entry.get("tags")
+            vars = VariableSet(tuple(vars_list), len(vars_list) - 1, _field(entry, "p", int))
+            ideal = parse_polynomial(_field(entry, "poly", str), vars)
+            tags = _field(entry, "tags", list, default=None)
             if tags is not None:
                 if len(tags) != len(ideal):
                     raise ManifestError(
@@ -309,17 +311,32 @@ def load_manifest(path) -> tuple[BenchmarkCase, ...]:
                 )
             cases.append(
                 BenchmarkCase(
-                    name=entry["name"],
-                    p=p,
-                    dim=dim,
+                    name=_field(entry, "name", str),
                     vars=vars,
                     ideal=ideal,
-                    provenance=entry.get("notes", "manifest"),
+                    provenance=_field(entry, "notes", str, default="manifest"),
                 )
             )
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ManifestError(f"case {name!r}: {exc}") from exc
     return tuple(cases)
+
+
+_REQUIRED = object()
+
+
+def _field(entry: dict, key: str, kind: type, default=_REQUIRED):
+    # entry[key] checked against its JSON type: a bool is no int, and every
+    # list in the grammar holds strings; an optional key absent or null gives
+    # the default
+    if entry.get(key) is None and default is not _REQUIRED:
+        return default
+    value = entry[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ManifestError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    if kind is list and not all(isinstance(v, str) for v in value):
+        raise ManifestError(f"{key} must hold strings, got {value!r}")
+    return value
 
 
 def save_manifest(cases, path) -> None:
@@ -342,9 +359,11 @@ def save_manifest(cases, path) -> None:
     Path(path).write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
 
 
-def generate_broad_surrogates(
-    seed: int, count: int, dims: tuple[int, ...] = (4, 5, 6)
-) -> tuple[BenchmarkCase, ...]:
+#: Dimensions generate_broad_surrogates draws from.
+SURROGATE_DIMS = (4, 5, 6)
+
+
+def generate_broad_surrogates(seed: int, count: int) -> tuple[BenchmarkCase, ...]:
     """Seeded random suite with the broad-benchmark shape.
 
     Each case is monic z^p-leading with 2 to 5 sampled z-free terms of total
@@ -354,10 +373,9 @@ def generate_broad_surrogates(
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = random.Random(seed)
-    dims = tuple(sorted(dims))
     cases = []
     for i in range(count):
-        dim = rng.choice(dims)
+        dim = rng.choice(SURROGATE_DIMS)
         p = rng.choice((2, 3, 5, 7))
         vars = VariableSet.standard(dim, p)
         monomials = [
@@ -377,8 +395,6 @@ def generate_broad_surrogates(
         cases.append(
             BenchmarkCase(
                 name=f"broad_gen_s{seed}_{i:03d}",
-                p=p,
-                dim=dim,
                 vars=vars,
                 ideal=IdealSpec(tuple(monomials)),
                 provenance=f"generated(seed={seed})",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable
 
 from blowup_lab.core import MIXED, OBLIQUE, PURE_Z, IdealSpec, State, VariableSet
 from blowup_lab.simulator import (
@@ -71,51 +70,6 @@ def _nu_p(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _minimalize(generators: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    # drop generators divisible by another generator
-    unique = sorted(set(generators))
-    kept = []
-    for g in unique:
-        if not any(h != g and all(hv <= gv for hv, gv in zip(h, g)) for h in unique):
-            kept.append(g)
-    return kept
-
-
-def standard_monomial_count(
-    generators: Iterable[tuple[int, ...]], num_vars: int, degree_bound: int
-) -> int:
-    """Monomials in num_vars variables of total degree < degree_bound outside
-    the monomial ideal generated by the given exponent vectors.
-
-    Inclusion-exclusion over componentwise joins of the minimal generators:
-    the monomials of degree <= D divisible by g number C(D - |g| + k, k).
-    Subsets are walked depth-first and a subset is not extended once its
-    join's degree exceeds D = degree_bound - 1: every superset's join is at
-    least as large componentwise, so each skipped term is 0.  The cost is the
-    number of subsets whose join fits under D, plus one rejected extension
-    each; for distinct generators of one degree d and D = d that is k
-    singletons and k(k-1)/2 rejected pairs, not 2^k subsets.
-    """
-    if degree_bound <= 0:
-        return 0
-    top = degree_bound - 1
-    total = math.comb(top + num_vars, num_vars)
-    gens = _minimalize([tuple(g) for g in generators if sum(g) <= top])
-    divisible = 0
-    # (index of the subset's last generator, join, inclusion-exclusion sign)
-    stack = [(i, g, 1) for i, g in enumerate(gens)]
-    while stack:
-        last, join, sign = stack.pop()
-        slack = top - sum(join)
-        if slack >= 0:
-            divisible += sign * math.comb(slack + num_vars, num_vars)
-            stack.extend(
-                (i, tuple(map(max, join, gens[i])), -sign)
-                for i in range(last + 1, len(gens))
-            )
-    return total - divisible
 
 
 def weighted_order_proxy(state: State) -> float:
@@ -178,18 +132,19 @@ def hilbert_samuel_base(state: State) -> int:
     With generators the z-free monomials of minimal total degree d, counts the
     base-variable monomials of total degree < d + 1 outside the ideal they
     generate; 0 when no z-free monomials exist.  The generators share the
-    degree d, so with n base variables and k distinct generators this is
-    C(d + n, n) - k, and standard_monomial_count finds it in O(k^2) steps.
+    degree d, so a monomial of degree at most d lies in their ideal exactly
+    when it is one of them: with n base variables and k distinct generators
+    the count is C(d + n, n) - k.
     """
     vars = state.vars
     z = vars.elim_index
-    base_idx = vars.base_indices
     base = [m.exponents for m in state.ideal if m.exponents[z] == 0]
     if not base:
         return 0
     d = min(sum(e) for e in base)
-    generators = [tuple(e[i] for i in base_idx) for e in base if sum(e) == d]
-    return standard_monomial_count(generators, len(base_idx), d + 1)
+    k = len({e for e in base if sum(e) == d})
+    n = len(vars.base_indices)
+    return math.comb(d + n, n) - k
 
 
 def extract_features(state: State) -> tuple[float, ...]:

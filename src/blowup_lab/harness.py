@@ -73,8 +73,6 @@ class ViolationReport:
     local_increases: int
     max_plateau: int
     solved: bool
-    rank_stream: tuple
-    best_stream: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,8 +139,6 @@ def audit_trajectory(
             local_increases=0,
             max_plateau=0,
             solved=False,
-            rank_stream=tuple(ranks),
-            best_stream=(),
         )
         return TrajectoryAudit(report=report, step_flags=(0,) * n, best_improved=(False,) * n)
 
@@ -164,7 +160,6 @@ def audit_trajectory(
 
     # bounded delay on the running best
     best = ranks[0]
-    best_stream = [best]
     improved = [True] + [False] * (n - 1)
     last_improve = 0
     delay = 0
@@ -173,7 +168,6 @@ def audit_trajectory(
             best = ranks[t]
             last_improve = t
             improved[t] = True
-        best_stream.append(best)
         if t < tau and t - last_improve >= cfg.window:
             delay += 1
             flags[t] |= FLAG_DELAY
@@ -216,8 +210,6 @@ def audit_trajectory(
         local_increases=local_increases,
         max_plateau=max_plateau,
         solved=total == 0,
-        rank_stream=tuple(ranks),
-        best_stream=tuple(best_stream),
     )
     return TrajectoryAudit(report=report, step_flags=tuple(flags), best_improved=tuple(improved))
 
@@ -395,14 +387,14 @@ class CounterexampleFindings:
         }
 
 
-def verify_counterexamples(cap: int = DEFAULT_CAP) -> CounterexampleFindings:
+def verify_counterexamples() -> CounterexampleFindings:
     """Re-run the two stall instances against the three relevant rankers."""
     vars4 = VariableSet.standard(4, 3)
     lex_state = State.initial(parse_polynomial(LEX_STALL_POLY, vars4), vars4)
     disc_state = State.initial(parse_polynomial(DISC_STALL_POLY, vars4), vars4)
 
-    cfg_m10 = HarnessConfig(window=10, cap=cap)
-    cfg_m5 = HarnessConfig(window=5, cap=cap)
+    cfg_m10 = HarnessConfig(window=10)
+    cfg_m5 = HarnessConfig(window=5)
 
     clean_lex = get_ranker("clean_lex")
     _, lex_features, lex_ranks = simulate_case(lex_state, clean_lex, cfg_m10)

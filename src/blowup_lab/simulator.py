@@ -44,7 +44,7 @@ class Center:
     var_index: int
 
 
-def monic_z_orders(ideal: IdealSpec, elim_index: Optional[int] = None) -> list[int]:
+def monic_z_orders(ideal: IdealSpec, elim_index: int) -> list[int]:
     """Exponents of the genuine pure z-powers of the ideal.
 
     A monomial counts only if it is supported on z alone AND still carries
@@ -55,9 +55,7 @@ def monic_z_orders(ideal: IdealSpec, elim_index: Optional[int] = None) -> list[i
     z^2-perturbation benchmark family into a degenerate doubling tail, which
     the zero-violation reference results rule out.)
     """
-    if not ideal:
-        return []
-    z = elim_index if elim_index is not None else len(ideal.monomials[0].exponents) - 1
+    z = elim_index
     return [
         m.exponents[z]
         for m in ideal
@@ -67,12 +65,11 @@ def monic_z_orders(ideal: IdealSpec, elim_index: Optional[int] = None) -> list[i
     ]
 
 
-def exceptional_exponent(ideal: IdealSpec, elim_index: Optional[int] = None) -> int:
+def exceptional_exponent(ideal: IdealSpec, elim_index: int) -> int:
     """Order proxy divided out at each step.
 
     Minimal exponent over the pure z-powers when one exists, else minimal
-    total degree over all monomials.  elim_index defaults to the last
-    position, matching the benchmark variable convention.
+    total degree over all monomials.
     """
     if not ideal:
         raise ValueError("exceptional exponent of an empty ideal is undefined")
@@ -168,16 +165,13 @@ def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]
     return IdealSpec(tuple(transformed)), center, exc
 
 
-def is_monomial_phase(ideal: IdealSpec, elim_index: Optional[int] = None) -> bool:
+def is_monomial_phase(ideal: IdealSpec, elim_index: int) -> bool:
     """True iff no monomial involves the elimination variable.
 
     Tags are not consulted.  The empty ideal is vacuously in monomial phase.
     """
-    if not ideal:
-        return True
-    z = elim_index if elim_index is not None else len(ideal.monomials[0].exponents) - 1
     for m in ideal:
-        if m.exponents[z] != 0:
+        if m.exponents[elim_index] != 0:
             return False
     return True
 
@@ -190,10 +184,6 @@ class Trajectory:
     centers: tuple[Center, ...]
     excs: tuple[int, ...]
     monomial_step: Optional[int]
-
-    @property
-    def terminated_monomial(self) -> bool:
-        return self.monomial_step is not None
 
 
 def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:

@@ -21,8 +21,16 @@ from blowup_lab.benchmarks import (
     extended100,
     focused71,
 )
-from blowup_lab.core import Boundary, State, VariableSet, parse_polynomial
-from blowup_lab.features import extract_features, standard_monomial_count
+from blowup_lab.core import (
+    Boundary,
+    IdealSpec,
+    State,
+    TaggedMonomial,
+    VariableSet,
+    infer_tag,
+    parse_polynomial,
+)
+from blowup_lab.features import extract_features, hilbert_samuel_base
 from blowup_lab.harness import (
     DISC_STALL_POLY,
     LEX_STALL_POLY,
@@ -231,10 +239,13 @@ def test_criterion_6c_hilbert_samuel_oracle():
                 generators.append(g)
         if not generators:
             generators = [(1, 0, 0)]
-        base_order = min(sum(g) for g in generators)  # this is the f1 of a state
+        base_order = min(sum(g) for g in generators)  # this is the f1 of the state
         assert base_order <= 40
         n = base_order + 1
-        if standard_monomial_count(generators, 3, n) != _brute_force_count(generators, 3, n):
+        exps = [(0, 0, 0, 3)] + [g + (0,) for g in generators]
+        ideal = IdealSpec(tuple(TaggedMonomial(infer_tag(e, VARS4), e) for e in exps))
+        state = State.initial(ideal, VARS4)
+        if hilbert_samuel_base(state) != _brute_force_count(generators, 3, n):
             ok = False
             break
     _verdict("6c. Hilbert-Samuel proxy equals the brute-force divisibility "

@@ -76,11 +76,6 @@ def _reference_audit(
             local_increases=0,
             max_plateau=0,
             solved=False,
-            rank_stream=tuple(
-                tuple(r) if r is not None and not _reference_is_malformed(r) else None
-                for r in ranks
-            ),
-            best_stream=(),
         )
         return TrajectoryAudit(report=report, step_flags=(0,) * n, best_improved=(False,) * n)
 
@@ -96,7 +91,6 @@ def _reference_audit(
             flags[t] |= FLAG_NORMALIZATION
 
     best = ranks[0]
-    best_stream = [best]
     improved = [True] + [False] * (n - 1)
     last_improve = 0
     delay = 0
@@ -105,7 +99,6 @@ def _reference_audit(
             best = ranks[t]
             last_improve = t
             improved[t] = True
-        best_stream.append(best)
         if t < tau and t - last_improve >= cfg.window:
             delay += 1
             flags[t] |= FLAG_DELAY
@@ -149,8 +142,6 @@ def _reference_audit(
         local_increases=local_increases,
         max_plateau=max_plateau,
         solved=total == 0,
-        rank_stream=tuple(ranks),
-        best_stream=tuple(best_stream),
     )
     return TrajectoryAudit(report=report, step_flags=tuple(flags), best_improved=tuple(improved))
 

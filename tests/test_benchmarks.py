@@ -1,12 +1,12 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
 
 from blowup_lab.benchmarks import (
     PROVENANCE_RECONSTRUCTED,
-    BenchmarkCase,
     ManifestError,
     broad24,
     builtin_suites,
@@ -153,6 +153,47 @@ def test_manifest_rejects_malformed_json(tmp_path):
         load_manifest(path)
 
 
+_GOOD_ENTRY = {"name": "typed", "p": 3, "dim": 4, "vars": ["x", "y", "w", "z"], "poly": "z^3 + x^6"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("vars", "xywz"),
+        ("tags", "ab"),
+        ("tags", [1, None]),
+        ("name", 7),
+        ("poly", 5),
+        ("p", 3.0),
+        ("dim", 4.0),
+        ("notes", 5),
+    ],
+    ids=[
+        "vars-string",
+        "tags-string",
+        "tags-non-strings",
+        "name-int",
+        "poly-int",
+        "p-float",
+        "dim-float",
+        "notes-int",
+    ],
+)
+def test_manifest_rejects_field_of_wrong_type(tmp_path, field, value):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps([dict(_GOOD_ENTRY, **{field: value})]), encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"{field} must"):
+        load_manifest(path)
+
+
+def test_manifest_null_optional_fields_mean_absent(tmp_path):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps([dict(_GOOD_ENTRY, tags=None, notes=None)]), encoding="utf-8")
+    (case,) = load_manifest(path)
+    assert [m.tag for m in case.ideal] == ["pure-z", "pure-base"]
+    assert (case.p, case.dim, case.provenance) == (3, 4, "manifest")
+
+
 def test_manifest_explicit_tags_override(tmp_path):
     path = tmp_path / "tagged.json"
     path.write_text(
@@ -169,8 +210,8 @@ def test_manifest_explicit_tags_override(tmp_path):
 
 
 def test_generator_deterministic():
-    a = generate_broad_surrogates(1, 60, (4, 5, 6))
-    b = generate_broad_surrogates(1, 60, (4, 5, 6))
+    a = generate_broad_surrogates(1, 60)
+    b = generate_broad_surrogates(1, 60)
     assert a == b
     assert len(a) == 60
     assert generate_broad_surrogates(2, 60) != a
@@ -192,11 +233,3 @@ def test_generator_cases_are_valid():
             assert 1 <= m.total_degree <= 4 * case.p
         text = render_polynomial(case.ideal, case.vars, annotate_tags=False)
         assert parse_polynomial(text, case.vars) == case.ideal
-
-
-def test_case_validates_consistency(vars4):
-    with pytest.raises(ValueError):
-        BenchmarkCase(
-            name="broken", p=5, dim=4, vars=vars4,
-            ideal=parse_polynomial("z^3", vars4), provenance="test",
-        )

@@ -21,10 +21,8 @@ from blowup_lab.features import (
     FEATURE_NAMES,
     JACOBIAN_SENTINEL,
     NUM_FEATURES,
-    _minimalize,
     extract_features,
     hilbert_samuel_base,
-    standard_monomial_count,
     weighted_order_proxy,
 )
 
@@ -108,30 +106,60 @@ def _brute_force_standard_count(generators, num_vars, bound):
     return int((~divisible).sum())
 
 
-def test_standard_monomial_count_against_brute_force_small():
+def _z_free_state(base_exponents, vars):
+    # z^p plus the given z-free monomials, z being the last variable
+    exps = [(0,) * (vars.dim - 1) + (vars.char_p,)]
+    exps += [tuple(e) + (0,) for e in base_exponents]
+    ideal = IdealSpec(tuple(TaggedMonomial(infer_tag(e, vars), e) for e in exps))
+    return State.initial(ideal, vars)
+
+
+def test_standard_monomial_count_against_brute_force_small(vars4):
+    # f21 counts the standard monomials of degree <= d of the minimal-degree
+    # z-free generators
     gens = [(0, 6, 0), (0, 0, 6)]
-    assert standard_monomial_count(gens, 3, 7) == 82 == _brute_force_standard_count(gens, 3, 7)
-    assert standard_monomial_count([(0, 6, 0)], 3, 7) == 83
-    assert standard_monomial_count([], 3, 7) == 84
+    assert hilbert_samuel_base(_z_free_state(gens, vars4)) == 82
+    assert _brute_force_standard_count(gens, 3, 7) == 82
+    assert hilbert_samuel_base(_z_free_state(gens[:1], vars4)) == 83
+    assert _brute_force_standard_count(gens[:1], 3, 7) == 83
+    assert _brute_force_standard_count([], 3, 7) == 84
+    # a generator of higher degree does not enter the count
+    assert hilbert_samuel_base(_z_free_state(gens + [(9, 0, 0)], vars4)) == 82
 
 
 def test_standard_monomial_count_brute_force_fuzz():
     rng = random.Random(2024)
     for _ in range(200):
-        num_vars = rng.randint(1, 3)
-        bound = rng.randint(1, 18)
+        vars = VariableSet.standard(rng.randint(3, 5), 3)
+        num_vars = vars.dim - 1
         generators = [
-            tuple(rng.randint(0, 8) for _ in range(num_vars))
-            for _ in range(rng.randint(0, 5))
+            tuple(rng.randint(0, 6) for _ in range(num_vars))
+            for _ in range(rng.randint(1, 5))
         ]
         generators = [g for g in generators if sum(g) > 0]
-        assert standard_monomial_count(generators, num_vars, bound) == (
-            _brute_force_standard_count(generators, num_vars, bound)
+        state = _z_free_state(generators, vars)
+        if not generators:
+            assert hilbert_samuel_base(state) == 0
+            continue
+        d = min(map(sum, generators))
+        minimal = [g for g in generators if sum(g) == d]
+        assert hilbert_samuel_base(state) == (
+            _brute_force_standard_count(minimal, num_vars, d + 1)
         )
 
 
+def _minimalize(generators):
+    # drop generators divisible by another generator
+    unique = sorted(set(generators))
+    kept = []
+    for g in unique:
+        if not any(h != g and all(hv <= gv for hv, gv in zip(h, g)) for h in unique):
+            kept.append(g)
+    return kept
+
+
 def _inclusion_exclusion_oracle(generators, num_vars, degree_bound):
-    # the former standard_monomial_count: every one of the 2^k subsets
+    # the general count over every one of the 2^k subsets of minimal generators
     if degree_bound <= 0:
         return 0
     top = degree_bound - 1
@@ -149,32 +177,57 @@ def _inclusion_exclusion_oracle(generators, num_vars, degree_bound):
 
 
 @st.composite
-def _count_inputs(draw):
-    num_vars = draw(st.integers(1, 4))
-    exponents = st.tuples(*[st.integers(0, 9)] * num_vars)
-    generators = draw(st.lists(exponents, max_size=7))
-    # duplicates and multiples of drawn generators, which _minimalize drops
-    if generators:
-        for g in draw(st.lists(st.sampled_from(generators), max_size=3)):
-            generators.append(tuple(v + draw(st.integers(0, 2)) for v in g))
-    return generators, num_vars, draw(st.integers(-1, 25))
+def _hs_states(draw):
+    # z^p, mixed z-monomials and z-free monomials of mixed degrees, with up to
+    # 10 z-free generators of the minimal degree and duplicates among them
+    vars4 = VariableSet.standard(4, 3)
+    base = st.tuples(*[st.integers(0, 6)] * 3)
+    d = draw(st.integers(1, 6))
+    of_degree_d = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    generators = draw(st.lists(st.sampled_from(of_degree_d), max_size=10))
+    higher = draw(st.lists(base.filter(lambda e: sum(e) > d), max_size=4))
+    mixed = draw(st.lists(st.tuples(base, st.integers(1, 4)), max_size=3))
+    exps = [e + (0,) for e in generators + generators[: draw(st.integers(0, 3))] + higher]
+    exps += [e + (ez,) for e, ez in mixed]
+    if draw(st.booleans()) or not exps:
+        exps.append((0, 0, 0, 3))
+    exps = draw(st.permutations(exps))
+    ideal = IdealSpec(tuple(TaggedMonomial(infer_tag(e, vars4), e) for e in exps))
+    return State.initial(ideal, vars4)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_count_inputs())
-def test_standard_monomial_count_matches_full_inclusion_exclusion(inputs):
-    assert standard_monomial_count(*inputs) == _inclusion_exclusion_oracle(*inputs)
+@settings(max_examples=300, deadline=None)
+@given(_hs_states())
+def test_standard_monomial_count_matches_full_inclusion_exclusion(state):
+    base = [m.exponents[:3] for m in state.ideal if m.exponents[3] == 0]
+    if not base:
+        assert hilbert_samuel_base(state) == 0
+        return
+    d = min(map(sum, base))
+    generators = [e for e in base if sum(e) == d]
+    expected = _brute_force_standard_count(generators, 3, d + 1)
+    assert hilbert_samuel_base(state) == expected
+    assert _inclusion_exclusion_oracle(generators, 3, d + 1) == expected
 
 
 def test_hilbert_samuel_of_25_same_degree_generators(vars4):
-    # 2^25 subsets for the full inclusion-exclusion; every pair here already
-    # joins above the degree bound
+    # 25 distinct generators of degree 8 in 3 base variables
     base = [(a, b, 8 - a - b) for a in range(9) for b in range(9 - a)][:25]
     exps = [(0, 0, 0, 3)] + [(a, b, c, 0) for a, b, c in base]
     ideal = IdealSpec(tuple(TaggedMonomial(infer_tag(e, vars4), e) for e in exps))
     state = State.initial(ideal, vars4)
     assert hilbert_samuel_base(state) == math.comb(11, 3) - 25
     assert extract_features(state)[21] == 140.0
+
+
+def test_ideal_features_reads_hilbert_samuel_base_through_the_module(vars4, monkeypatch):
+    # the benchmark's tracer times f21 by rebinding this module attribute; the
+    # tag makes the ideal one the feature memo has not seen
+    from blowup_lab import features
+
+    monkeypatch.setattr(features, "hilbert_samuel_base", lambda state: -7)
+    state = _state("z^3 + module-probe:x^6 + w^6", vars4)
+    assert extract_features(state)[21] == -7.0
 
 
 def test_f2_complements_touched_variables(vars4):
@@ -192,7 +245,7 @@ def test_f2_complements_touched_variables(vars4):
         fv = extract_features(state)
         # f2 plus the number of variables touched by the minimal-degree set
         # is the ambient dimension
-        exc = exceptional_exponent(state.ideal)
+        exc = exceptional_exponent(state.ideal, 3)
         touched = {
             i
             for m in state.ideal

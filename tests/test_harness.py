@@ -147,9 +147,8 @@ def test_local_increase_and_plateau_diagnostics():
 def test_best_stream_is_running_lex_min():
     ranks = [(3.0, 5.0), (3.0, 7.0), (3.0, 4.0), (3.0, 6.0), (0.0, 0.0)]
     features = _features(5, monomial_at=4)
-    report = audit_trajectory(ranks, features, HarnessConfig()).report
-    assert report.best_stream == ((3.0, 5.0), (3.0, 5.0), (3.0, 4.0), (3.0, 4.0), (0.0, 0.0))
-    assert report.best_stream[-1] == min(ranks)
+    audit = audit_trajectory(ranks, features, HarnessConfig())
+    assert audit.best_improved == (True, False, True, False, True)
 
 
 def test_delay_monotone_in_window():
