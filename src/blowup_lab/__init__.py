@@ -26,7 +26,6 @@ from blowup_lab.features import (
     FEATURE_NAMES,
     extract_features,
     hilbert_samuel_base,
-    weighted_order_proxy,
 )
 from blowup_lab.rankers import (
     Ranker,
@@ -77,7 +76,6 @@ __all__ = [
     "FEATURE_NAMES",
     "extract_features",
     "hilbert_samuel_base",
-    "weighted_order_proxy",
     "Ranker",
     "RankerTemplate",
     "discretize",

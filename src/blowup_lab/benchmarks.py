@@ -273,7 +273,9 @@ def load_manifest(path) -> tuple[BenchmarkCase, ...]:
     The last variable in ``vars`` is the elimination variable.  An explicit
     ``tags`` array overrides tag inference monomial by monomial.  name, poly
     and notes must be strings, p and dim integers, and vars and tags arrays
-    of strings; any other type raises ManifestError.
+    of strings; any other type raises ManifestError.  So does a variable name
+    that is not a distinct identifier, or a p that is not a prime of at most
+    core.MAX_CHAR_P.
     """
     path = Path(path)
     try:
@@ -295,7 +297,7 @@ def load_manifest(path) -> tuple[BenchmarkCase, ...]:
             dim = _field(entry, "dim", int)
             if dim != len(vars_list):
                 raise ManifestError(f"dim {dim} does not match {len(vars_list)} variables")
-            vars = VariableSet(tuple(vars_list), len(vars_list) - 1, _field(entry, "p", int))
+            vars = VariableSet(tuple(vars_list), _field(entry, "p", int))
             ideal = parse_polynomial(_field(entry, "poly", str), vars)
             tags = _field(entry, "tags", list, default=None)
             if tags is not None:
@@ -379,9 +381,7 @@ def generate_broad_surrogates(seed: int, count: int) -> tuple[BenchmarkCase, ...
         p = rng.choice((2, 3, 5, 7))
         vars = VariableSet.standard(dim, p)
         monomials = [
-            TaggedMonomial(tag="pure-z", exponents=tuple(
-                p if j == vars.elim_index else 0 for j in range(dim)
-            ))
+            TaggedMonomial(tag="pure-z", exponents=(0,) * (dim - 1) + (p,))
         ]
         for _ in range(rng.randint(2, 5)):
             support_size = rng.randint(1, min(3, dim - 1))

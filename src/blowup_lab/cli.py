@@ -70,11 +70,9 @@ def _cmd_run(args) -> int:
     payload = json.dumps(report.to_json_dict(), indent=2)
     if args.json:
         Path(args.json).write_text(payload + "\n", encoding="utf-8")
-        score = report.saturated_score if args.saturated else report.total_violations
-        label = "saturated_score" if args.saturated else "violations"
         print(
             f"{suite_name} / {args.ranker}: solved {report.solved_count}/{len(report.reports)}, "
-            f"{label} {_fmt(score)}, max plateau {report.max_plateau}"
+            f"violations {_fmt(report.total_violations)}, max plateau {report.max_plateau}"
         )
     else:
         print(payload)
@@ -84,14 +82,15 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     ranker = get_ranker(args.ranker)
     names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    vars = VariableSet(names=names, elim_index=len(names) - 1, char_p=args.p)
+    vars = VariableSet(names=names, char_p=args.p)
     ideal = parse_polynomial(args.poly, vars)
     cfg = HarnessConfig(window=args.m, cap=args.cap)
     state = State.initial(ideal, vars)
     trajectory, feature_stream, rank_stream = simulate_case(state, ranker, cfg)
     audit = audit_trajectory(rank_stream, feature_stream, cfg, name="trace")
 
-    rank_width = len(tuple(rank_stream[0]))
+    # a rank the ranker raised on is None and gets empty cells
+    rank_width = next((len(tuple(r)) for r in rank_stream if r is not None), 0)
     header = (
         ["step", "center_kind", "center_var", "exc"]
         + list(FEATURE_NAMES)
@@ -111,10 +110,11 @@ def _cmd_trace(args) -> int:
             center_kind = ""
             center_var = ""
             exc = ""
+        rank = rank_stream[t]
         row = (
             [str(t), center_kind, center_var, exc]
             + [_fmt(v) for v in feature_stream[t]]
-            + [_fmt(v) for v in rank_stream[t]]
+            + ([""] * rank_width if rank is None else [_fmt(v) for v in rank])
             + [str(int(audit.best_improved[t])), str(audit.step_flags[t])]
         )
         writer.writerow(row)
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--suite", required=True, help="builtin suite name or manifest path")
     run.add_argument("--m", type=int, default=DEFAULT_WINDOW, help="bounded-delay window")
     run.add_argument("--cap", type=int, default=DEFAULT_CAP, help="step cap")
-    run.add_argument("--saturated", action="store_true", help="summarize with the saturated score")
     run.add_argument("--json", default=None, help="write the full report to this file")
     run.set_defaults(func=_cmd_run)
 

@@ -1,8 +1,8 @@
 """Domain types for the exponent-level singularity encoding.
 
 A hypersurface shadow is a finite ordered list of tagged monomials: each
-monomial is an exponent vector over a fixed ordered variable list with one
-distinguished elimination variable, and carries a symbolic tag that is
+monomial is an exponent vector over a fixed ordered variable list whose last
+variable z is the elimination variable, and carries a symbolic tag that is
 propagated unchanged by every transform.  A state couples such an ideal
 specification with a boundary function assigning one exceptional multiplicity
 to every variable.  Coefficients are deliberately absent: the encoding is a
@@ -23,6 +23,11 @@ class ParseError(ValueError):
     """Raised when polynomial text cannot be parsed against a variable set."""
 
 
+#: Largest characteristic a VariableSet accepts.  The primality check is trial
+#: division, so the bound keeps it under about 46,400 divisions.
+MAX_CHAR_P = 2**31
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -36,14 +41,14 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class VariableSet:
-    """Ordered variable list with a distinguished elimination variable.
+    """Ordered variable list whose last variable z is the elimination variable.
 
-    The characteristic must be prime; divisibility tests in the feature
-    extractor rely on it.
+    Names must be distinct Python identifiers.  The characteristic must be a
+    prime of at most MAX_CHAR_P; divisibility tests in the feature extractor
+    rely on it.
     """
 
     names: tuple[str, ...]
-    elim_index: int
     char_p: int
 
     def __post_init__(self) -> None:
@@ -51,8 +56,10 @@ class VariableSet:
             raise ValueError(f"variable names must be distinct: {self.names}")
         if not self.names:
             raise ValueError("variable set must be nonempty")
-        if not 0 <= self.elim_index < len(self.names):
-            raise ValueError(f"elimination index {self.elim_index} out of range")
+        if not all(isinstance(n, str) and n.isidentifier() for n in self.names):
+            raise ValueError(f"variable names must be identifiers: {self.names}")
+        if self.char_p > MAX_CHAR_P:
+            raise ValueError(f"characteristic {self.char_p} exceeds {MAX_CHAR_P}")
         if not _is_prime(self.char_p):
             raise ValueError(f"characteristic must be prime, got {self.char_p}")
 
@@ -61,18 +68,12 @@ class VariableSet:
         return len(self.names)
 
     @property
-    def elim_name(self) -> str:
-        return self.names[self.elim_index]
+    def elim_index(self) -> int:
+        return len(self.names) - 1
 
     @property
     def base_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.names)) if i != self.elim_index)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
+        return tuple(range(len(self.names) - 1))
 
     @classmethod
     def standard(cls, dim: int, p: int) -> "VariableSet":
@@ -90,7 +91,7 @@ class VariableSet:
         if dim not in base:
             raise ValueError(f"no standard variable set for dimension {dim}")
         names = base[dim] + ("z",)
-        return cls(names=names, elim_index=dim - 1, char_p=p)
+        return cls(names=names, char_p=p)
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,7 @@ def _parse_term(term: str, vars: VariableSet) -> TaggedMonomial:
         exponent = 1
         if pos < len(term) and term[pos] == "^":
             exponent, pos = _parse_exponent(term, pos + 1)
-        exponents[vars.index_of(matched)] += exponent
+        exponents[vars.names.index(matched)] += exponent
         at_start = False
 
     e = tuple(exponents)

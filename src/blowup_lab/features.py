@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from blowup_lab.core import MIXED, OBLIQUE, PURE_Z, IdealSpec, State, VariableSet
+from blowup_lab.core import MIXED, OBLIQUE, IdealSpec, State, VariableSet
 from blowup_lab.simulator import (
     MEMO_ENTRIES,
     exceptional_exponent,
+    is_monic_z_power,
     is_monomial_phase,
     monic_z_orders,
 )
@@ -72,39 +73,28 @@ def _nu_p(n: int, p: int) -> int:
     return v
 
 
-def weighted_order_proxy(state: State) -> float:
-    """Boundary-aware weighted-order proxy (feature 14).
-
-    Over every monomial except the first pure z-power of exponent equal to
-    the exceptional exponent, residualize base exponents against the boundary
-    and record |residual| / e_z (or / max_order when z-free); return the
-    minimum, or 0 when no monomial qualifies.  Excluding the monic z-power is
-    essential: otherwise the minimum is trivially 0 on monic inputs.
-    """
-    if not state.ideal:
-        raise ValueError("weighted order proxy of an empty ideal is undefined")
-    terms = _weighted_order_terms(state.ideal, state.vars)
-    return _weighted_order(terms, _base_multiplicities(state))
-
-
 def _weighted_order_terms(
-    ideal: IdealSpec, vars: VariableSet
+    ideal: IdealSpec, exc: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # (base exponents, divisor) of each monomial weighted_order_proxy ranges over
-    z = vars.elim_index
-    f0 = exceptional_exponent(ideal, z)
+    """(base exponents, divisor) of each monomial the weighted order (f14) ranges over.
+
+    f14 is a boundary-aware weighted-order proxy.  Over every monomial except
+    the first pure z-power of exponent equal to the exceptional exponent exc,
+    residualize base exponents against the boundary and record
+    |residual| / e_z (or / exc when z-free); f14 is the minimum, or 0 when no
+    monomial qualifies.  Excluding the monic z-power is essential: otherwise
+    the minimum is trivially 0 on monic inputs.
+    """
     skip = next(
         (
             idx
             for idx, m in enumerate(ideal)
-            if m.tag == PURE_Z
-            and m.exponents[z] == f0
-            and all(v == 0 for i, v in enumerate(m.exponents) if i != z)
+            if m.exponents[-1] == exc and is_monic_z_power(m)
         ),
         None,
     )
     return tuple(
-        (tuple(m.exponents[i] for i in vars.base_indices), m.exponents[z] or f0)
+        (m.exponents[:-1], m.exponents[-1] or exc)
         for idx, m in enumerate(ideal)
         if idx != skip
     )
@@ -120,12 +110,6 @@ def _weighted_order(terms: tuple, base_mult: tuple[int, ...]) -> float:
     )
 
 
-def _base_multiplicities(state: State) -> tuple[int, ...]:
-    mult = state.boundary.multiplicities
-    z = state.vars.elim_index
-    return mult[:z] + mult[z + 1 :]
-
-
 def hilbert_samuel_base(state: State) -> int:
     """Hilbert-Samuel proxy from the base initial monomial ideal (feature 21).
 
@@ -136,14 +120,12 @@ def hilbert_samuel_base(state: State) -> int:
     when it is one of them: with n base variables and k distinct generators
     the count is C(d + n, n) - k.
     """
-    vars = state.vars
-    z = vars.elim_index
-    base = [m.exponents for m in state.ideal if m.exponents[z] == 0]
+    base = [m.exponents for m in state.ideal if m.exponents[-1] == 0]
     if not base:
         return 0
     d = min(sum(e) for e in base)
     k = len({e for e in base if sum(e) == d})
-    n = len(vars.base_indices)
+    n = state.vars.dim - 1
     return math.comb(d + n, n) - k
 
 
@@ -158,7 +140,7 @@ def extract_features(state: State) -> tuple[float, ...]:
     if not state.ideal:
         return _EMPTY_IDEAL_FEATURES
     values, min_base, weighted = _ideal_features(state.ideal, state.vars)
-    base_mult = _base_multiplicities(state)
+    base_mult = state.boundary.multiplicities[:-1]
     fv = list(values)
     fv[4] = float(state.boundary.positive_count)
     fv[8] = float(min(sum(map(min, e, base_mult)) for e in min_base))
@@ -172,9 +154,8 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     """The boundary-free part of extract_features on a nonempty ideal.
 
     Returns the 26 entries with f4, f8, f14 and f25 left at 0.0, the base
-    exponents of the minimal-degree monomials (for f8), and the base
-    exponents and divisor of every monomial weighted_order_proxy ranges over
-    (for f14).
+    exponents of the minimal-degree monomials (for f8), and the terms of
+    _weighted_order_terms (for f14).
     """
     p = vars.char_p
     z = vars.elim_index
@@ -183,7 +164,7 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
 
     exps = [m.exponents for m in monomials]
     degrees = [sum(e) for e in exps]
-    exc = exceptional_exponent(ideal, z)
+    exc = exceptional_exponent(ideal)
     m_min = [e for e, d in zip(exps, degrees) if d == exc]
     base = [(e, d) for e, d in zip(exps, degrees) if e[z] == 0]
 
@@ -202,12 +183,12 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     f6 = 1 if all(e[i] % p == 0 for e in exps for i in range(vars.dim)) else 0
 
     # exc equals the minimal pure z-order exactly when a pure z-power exists
-    if monic_z_orders(ideal, z):
+    if monic_z_orders(ideal):
         f7 = f0 / f1 if f1 > 0 else float(f0)
     else:
         f7 = 0.0
 
-    f9 = 1 if is_monomial_phase(ideal, z) else 0
+    f9 = 1 if is_monomial_phase(ideal) else 0
     f10 = 1 if all(e[i] % p == 0 for e in m_min for i in range(vars.dim)) else 0
     f11 = float(f0) if f1 == 0 else 1.0 / (1.0 + abs(f0 - f1))
 
@@ -274,5 +255,5 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
         float(f24),
         0.0,
     )
-    min_base = tuple(tuple(e[i] for i in base_idx) for e in m_min)
-    return values, min_base, _weighted_order_terms(ideal, vars)
+    min_base = tuple(e[:-1] for e in m_min)
+    return values, min_base, _weighted_order_terms(ideal, exc)

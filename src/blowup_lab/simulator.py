@@ -44,8 +44,8 @@ class Center:
     var_index: int
 
 
-def monic_z_orders(ideal: IdealSpec, elim_index: int) -> list[int]:
-    """Exponents of the genuine pure z-powers of the ideal.
+def is_monic_z_power(m: TaggedMonomial) -> bool:
+    """True iff m is a genuine pure z-power.
 
     A monomial counts only if it is supported on z alone AND still carries
     the pure-z tag, i.e. it entered the computation as a pure z-power.  Chart
@@ -55,17 +55,16 @@ def monic_z_orders(ideal: IdealSpec, elim_index: int) -> list[int]:
     z^2-perturbation benchmark family into a degenerate doubling tail, which
     the zero-violation reference results rule out.)
     """
-    z = elim_index
-    return [
-        m.exponents[z]
-        for m in ideal
-        if m.tag == PURE_Z
-        and m.exponents[z] > 0
-        and all(e == 0 for i, e in enumerate(m.exponents) if i != z)
-    ]
+    e = m.exponents
+    return m.tag == PURE_Z and e[-1] > 0 and not any(e[:-1])
 
 
-def exceptional_exponent(ideal: IdealSpec, elim_index: int) -> int:
+def monic_z_orders(ideal: IdealSpec) -> list[int]:
+    """Exponents of the genuine pure z-powers of the ideal."""
+    return [m.exponents[-1] for m in ideal if is_monic_z_power(m)]
+
+
+def exceptional_exponent(ideal: IdealSpec) -> int:
     """Order proxy divided out at each step.
 
     Minimal exponent over the pure z-powers when one exists, else minimal
@@ -73,7 +72,7 @@ def exceptional_exponent(ideal: IdealSpec, elim_index: int) -> int:
     """
     if not ideal:
         raise ValueError("exceptional exponent of an empty ideal is undefined")
-    orders = monic_z_orders(ideal, elim_index)
+    orders = monic_z_orders(ideal)
     if orders:
         return min(orders)
     return min(m.total_degree for m in ideal)
@@ -89,8 +88,6 @@ def select_center(state: State) -> Center:
        variable order).
     3. Else (every monomial involves z) fall back to the divisor V(z).
     """
-    vars = state.vars
-    z = vars.elim_index
     if not state.ideal:
         raise ValueError("cannot select a center for an empty ideal")
 
@@ -98,7 +95,7 @@ def select_center(state: State) -> Center:
     best_exp = -1
     for m in state.ideal:
         e = m.exponents
-        if e[z] != 0:
+        if e[-1] != 0:
             continue
         support = [i for i, v in enumerate(e) if v > 0]
         if len(support) != 1:
@@ -110,14 +107,14 @@ def select_center(state: State) -> Center:
     if best_var is not None:
         return Center(CODIM2, best_var)
 
-    base_monomials = [m for m in state.ideal if m.exponents[z] == 0]
+    base_monomials = [m for m in state.ideal if m.exponents[-1] == 0]
     if base_monomials:
         chosen = min(base_monomials, key=lambda m: m.total_degree)  # first minimum wins
         e = chosen.exponents
-        j = max((i for i in range(vars.dim) if i != z), key=lambda i: (e[i], -i))
+        j = max(state.vars.base_indices, key=lambda i: (e[i], -i))
         return Center(CODIM2, j)
 
-    return Center(DIVISOR_Z, z)
+    return Center(DIVISOR_Z, state.vars.elim_index)
 
 
 def step(state: State) -> tuple[State, Center, int]:
@@ -149,29 +146,28 @@ def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]
     # the part of step() that reads only the ideal: (rewritten ideal, center,
     # exceptional exponent); a fixed-ideal tail maps its ideal to one shared
     # IdealSpec object
-    z = vars.elim_index
-    exc = exceptional_exponent(ideal, z)
+    exc = exceptional_exponent(ideal)
     center = select_center(State.initial(ideal, vars))
     v = center.var_index
 
     transformed = []
     for m in ideal:
         e = list(m.exponents)
-        if e[z] > 0:
-            e[v] += e[z]
+        if e[-1] > 0:
+            e[v] += e[-1]
         e[v] = max(0, e[v] - exc)
         if any(e):
             transformed.append(TaggedMonomial(tag=m.tag, exponents=tuple(e)))
     return IdealSpec(tuple(transformed)), center, exc
 
 
-def is_monomial_phase(ideal: IdealSpec, elim_index: int) -> bool:
+def is_monomial_phase(ideal: IdealSpec) -> bool:
     """True iff no monomial involves the elimination variable.
 
     Tags are not consulted.  The empty ideal is vacuously in monomial phase.
     """
     for m in ideal:
-        if m.exponents[elim_index] != 0:
+        if m.exponents[-1] != 0:
             return False
     return True
 
@@ -194,13 +190,12 @@ def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     """
     if cap < 0:
         raise ValueError("step cap must be nonnegative")
-    z = initial.vars.elim_index
     states = [initial]
     centers: list[Center] = []
     excs: list[int] = []
     monomial_step: Optional[int] = None
 
-    if is_monomial_phase(initial.ideal, z):
+    if is_monomial_phase(initial.ideal):
         monomial_step = 0
     else:
         current = initial
@@ -212,7 +207,7 @@ def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
             excs.append(exc)
             # the memoized chart hands a fixed-ideal tail back its own ideal
             # object, which already failed the check one step earlier
-            if current.ideal is not previous and is_monomial_phase(current.ideal, z):
+            if current.ideal is not previous and is_monomial_phase(current.ideal):
                 monomial_step = k + 1
                 break
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -184,6 +185,25 @@ def test_manifest_rejects_field_of_wrong_type(tmp_path, field, value):
     path.write_text(json.dumps([dict(_GOOD_ENTRY, **{field: value})]), encoding="utf-8")
     with pytest.raises(ManifestError, match=f"{field} must"):
         load_manifest(path)
+
+
+def test_manifest_rejects_empty_variable_name(tmp_path):
+    # an empty name matched at every position of a term and stalled the parser
+    path = tmp_path / "names.json"
+    entry = dict(_GOOD_ENTRY, dim=3, vars=["x", "", "z"], poly="z^3 + q")
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(ManifestError, match="identifiers"):
+        load_manifest(path)
+
+
+def test_manifest_rejects_characteristic_above_bound(tmp_path):
+    # trial division on a p near 2^61 would take minutes
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps([dict(_GOOD_ENTRY, p=2**61 - 1)]), encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(ManifestError, match="exceeds"):
+        load_manifest(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_manifest_null_optional_fields_mean_absent(tmp_path):

@@ -105,6 +105,21 @@ def test_trace_last_row_has_no_center(capsys):
     assert rows[0]["rank_0"] == "0"
 
 
+def test_trace_writes_empty_cells_for_a_rank_that_raised(capsys):
+    # clean_lex's c4 = -exp(0.1 * f25) overflows once the boundary mass f25
+    # reaches 7,098, at step 2370 of this trajectory
+    code, out, _ = _run(
+        capsys, "trace", "--ranker", "clean_lex", "--cap", "2400",
+        "--poly", "z^3 + x^6 + w^6",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2401
+    assert rows[2370]["boundary_mult_sum"] == "7098"
+    assert [rows[2370][f"rank_{i}"] for i in range(5)] == [""] * 5
+    assert all(rows[t][f"rank_{i}"] != "" for t in (0, 2369) for i in range(5))
+
+
 def test_trace_bad_poly(capsys):
     code, _, err = _run(capsys, "trace", "--ranker", "disc_lex", "--poly", "z^3 + q^2")
     assert code == 2

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import blowup_lab
 from blowup_lab.core import (
+    MAX_CHAR_P,
     MIXED,
     PURE_BASE,
     PURE_Z,
@@ -29,23 +32,42 @@ from blowup_lab.core import (
 
 def test_variable_set_standard_dim4(vars4):
     assert vars4.names == ("x", "y", "w", "z")
-    assert vars4.elim_name == "z"
+    assert vars4.elim_index == 3
     assert vars4.base_indices == (0, 1, 2)
     assert vars4.char_p == 3
 
 
 def test_variable_set_rejects_nonprime():
     with pytest.raises(ValueError):
-        VariableSet(("x", "z"), 1, 4)
+        VariableSet(("x", "z"), 4)
     with pytest.raises(ValueError):
-        VariableSet(("x", "z"), 1, 1)
+        VariableSet(("x", "z"), 1)
 
 
 def test_variable_set_rejects_duplicates_and_bad_index():
     with pytest.raises(ValueError):
-        VariableSet(("x", "x"), 0, 3)
-    with pytest.raises(ValueError):
+        VariableSet(("x", "x"), 3)
+    # z is always the last variable: no index can be passed or set
+    assert [f.name for f in dataclasses.fields(VariableSet)] == ["names", "char_p"]
+    with pytest.raises(TypeError):
         VariableSet(("x", "z"), 2, 3)
+    with pytest.raises(AttributeError):
+        VariableSet(("x", "z"), 3).elim_index = 0
+
+
+@pytest.mark.parametrize("name", ["", " ", "x^2", "2x", "x y", "x*y", "w+"])
+def test_variable_set_rejects_non_identifier_names(name):
+    with pytest.raises(ValueError, match="identifiers"):
+        VariableSet(("x", name, "z"), 3)
+
+
+def test_variable_set_bounds_the_characteristic():
+    assert VariableSet(("x", "z"), 2**31 - 1).char_p == 2**31 - 1
+    assert MAX_CHAR_P == 2**31
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        VariableSet(("x", "z"), 2**61 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_parse_focused_row(vars4):

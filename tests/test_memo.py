@@ -28,7 +28,7 @@ from blowup_lab.core import (
     VariableSet,
     infer_tag,
 )
-from blowup_lab.features import extract_features, weighted_order_proxy
+from blowup_lab.features import extract_features
 from blowup_lab.harness import HarnessConfig, score_benchmark
 from blowup_lab.rankers import get_ranker
 from blowup_lab.simulator import MEMO_ENTRIES, is_monomial_phase, run_trajectory
@@ -60,22 +60,20 @@ def test_memoized_features_match_uncached(state):
     # warm the memo with the same ideal under another boundary and another
     # characteristic, so a key that missed a field would hand back the wrong
     # entry
-    other_p = VariableSet(state.vars.names, state.vars.elim_index, 7)
+    other_p = VariableSet(state.vars.names, 7)
     extract_features(State.initial(state.ideal, other_p))
     extract_features(State.initial(state.ideal, state.vars))
     memoized = extract_features(state)
     with patch.object(features, "_ideal_features", features._ideal_features.__wrapped__):
         plain = extract_features(state)
     assert _hex(memoized) == _hex(plain)
-    assert memoized[14] == weighted_order_proxy(state)
 
 
 def _plain_trajectory(initial, cap):
     # run_trajectory as a plain loop: the uncached chart and the monomial-phase
     # check after every step, including steps that keep the ideal
-    z = initial.vars.elim_index
     states, centers, excs = [initial], [], []
-    if is_monomial_phase(initial.ideal, z):
+    if is_monomial_phase(initial.ideal):
         return states, centers, excs, 0
     with patch.object(simulator, "_chart", simulator._chart.__wrapped__):
         for k in range(cap):
@@ -83,7 +81,7 @@ def _plain_trajectory(initial, cap):
             states.append(current)
             centers.append(center)
             excs.append(exc)
-            if is_monomial_phase(current.ideal, z):
+            if is_monomial_phase(current.ideal):
                 return states, centers, excs, k + 1
     return states, centers, excs, None
 

@@ -33,18 +33,18 @@ def _state(text: str, vars4, boundary=None) -> State:
 
 
 def test_exceptional_exponent_pure_z_power(vars4):
-    assert exceptional_exponent(parse_polynomial("z^3 + x^6 + w^6", vars4), 3) == 3
+    assert exceptional_exponent(parse_polynomial("z^3 + x^6 + w^6", vars4)) == 3
 
 
 def test_exceptional_exponent_no_pure_power(vars4):
-    assert exceptional_exponent(parse_polynomial("x^7*y^5*w^4", vars4), 3) == 16
+    assert exceptional_exponent(parse_polynomial("x^7*y^5*w^4", vars4)) == 16
     # z^4*x^2 is not a pure power, so the minimal total degree wins
-    assert exceptional_exponent(parse_polynomial("z^4*x^2 + y^10 + w^5", vars4), 3) == 5
+    assert exceptional_exponent(parse_polynomial("z^4*x^2 + y^10 + w^5", vars4)) == 5
 
 
 def test_exceptional_exponent_empty_ideal():
     with pytest.raises(ValueError):
-        exceptional_exponent(IdealSpec(()), 3)
+        exceptional_exponent(IdealSpec(()))
 
 
 def test_exceptional_exponent_ignores_accidental_pure_powers(vars4):
@@ -55,14 +55,14 @@ def test_exceptional_exponent_ignores_accidental_pure_powers(vars4):
             TaggedMonomial("mixed", (0, 0, 0, 2)),
         )
     )
-    assert exceptional_exponent(accidental, 3) == 3
+    assert exceptional_exponent(accidental) == 3
     tagged = IdealSpec(
         (
             TaggedMonomial("pure-z", (0, 0, 0, 3)),
             TaggedMonomial("pure-z", (0, 0, 0, 2)),
         )
     )
-    assert exceptional_exponent(tagged, 3) == 2
+    assert exceptional_exponent(tagged) == 2
 
 
 def test_select_center_max_pure_exponent(vars4):
@@ -153,9 +153,9 @@ def test_monic_power_fixed_under_matching_exc(vars4):
 
 
 def test_is_monomial_phase(vars4):
-    assert is_monomial_phase(parse_polynomial("x^7*y^5*w^4", vars4), 3)
-    assert not is_monomial_phase(parse_polynomial("z^3 + x^6", vars4), 3)
-    assert is_monomial_phase(IdealSpec(()), 3)
+    assert is_monomial_phase(parse_polynomial("x^7*y^5*w^4", vars4))
+    assert not is_monomial_phase(parse_polynomial("z^3 + x^6", vars4))
+    assert is_monomial_phase(IdealSpec(()))
 
 
 def test_run_trajectory_immediate_monomial(vars4):
