@@ -12,6 +12,7 @@ coarse Newton-combinatorial shadow, not a polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 PURE_Z = "pure-z"
 PURE_BASE = "pure-base"
@@ -28,6 +29,8 @@ class ParseError(ValueError):
 MAX_CHAR_P = 2**31
 
 
+# a manifest builds one VariableSet per entry, mostly over one characteristic
+@lru_cache(maxsize=16)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -117,36 +117,53 @@ def audit_trajectory(
     cfg: HarnessConfig,
     name: str = "case",
 ) -> TrajectoryAudit:
-    """Score one rank/feature stream and keep the per-step flag detail."""
+    """Score one rank/feature stream and keep the per-step flag detail.
+
+    A malformed rank (None, non-finite, or of another length than the first)
+    makes the report a structural failure.  The per-step flags and best-so-far
+    marks are then those of the steps before the first malformed rank, and
+    0/False from it on.
+    """
     if len(ranks) != len(features):
         raise ValueError("rank and feature streams must have equal length")
     if not ranks:
         raise ValueError("empty trajectory")
 
     n = len(ranks)
-    tau = next((t for t in range(n) if features[t][9] == 1), n)
-
     ranks = [_as_rank(r) for r in ranks]
-    if None in ranks or any(len(r) != len(ranks[0]) for r in ranks):
-        report = ViolationReport(
-            name=name,
-            total_violations=STRUCTURAL_PENALTY,
-            delay_violations=0,
-            normalization_violations=0,
-            align_f0=0.0,
-            align_f14=0.0,
-            structural_failure=True,
-            local_increases=0,
-            max_plateau=0,
-            solved=False,
-        )
-        return TrajectoryAudit(report=report, step_flags=(0,) * n, best_improved=(False,) * n)
+    cut = next((t for t, r in enumerate(ranks) if r is None or len(r) != len(ranks[0])), n)
+    if cut == n:
+        return _audit(ranks, features, cfg, name)
 
+    before = _audit(ranks[:cut], features[:cut], cfg, name) if cut else None
+    report = ViolationReport(
+        name=name,
+        total_violations=STRUCTURAL_PENALTY,
+        delay_violations=0,
+        normalization_violations=0,
+        align_f0=0.0,
+        align_f14=0.0,
+        structural_failure=True,
+        local_increases=0,
+        max_plateau=0,
+        solved=False,
+    )
+    return TrajectoryAudit(
+        report=report,
+        step_flags=(before.step_flags if before else ()) + (0,) * (n - cut),
+        best_improved=(before.best_improved if before else ()) + (False,) * (n - cut),
+    )
+
+
+def _audit(ranks: list, features: Sequence, cfg: HarnessConfig, name: str) -> TrajectoryAudit:
+    # audit_trajectory on a nonempty stream of well-formed, equal-length ranks
+    n = len(ranks)
+    tau = next((t for t in range(n) if features[t][9] == 1), n)
     flags = [0] * n
 
     # order[t - 1] compares ranks[t] with ranks[t - 1] (-1, 0 or +1).  Native
-    # tuple order equals lex_compare here: the ranks passed the gate above, so
-    # they are equal-length tuples of finite ints and floats.
+    # tuple order equals lex_compare here: the ranks passed audit_trajectory's
+    # gate, so they are equal-length tuples of finite ints and floats.
     order = [-1 if a < b else int(a != b) for a, b in zip(ranks[1:], ranks)]
 
     # normalization: first component is 0 exactly in monomial phase
@@ -228,10 +245,20 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     """Run a trajectory and evaluate features and ranks along it.
 
     Ranker crashes are recorded as None ranks, which the audit treats as
-    structural failures.
+    structural failures.  Features are extracted on the trajectory's prefix
+    only: on its V(z) tail the ideal and the base multiplicities are fixed, so
+    each tail vector is the last prefix vector with the boundary mass f25
+    raised by the exceptional exponent per step.
     """
     trajectory = run_trajectory(initial, cfg.cap)
-    feature_stream = [extract_features(s) for s in trajectory.states]
+    feature_stream = [extract_features(s) for s in trajectory.prefix]
+    if trajectory.tail_len:
+        entry = feature_stream[-1][:25]
+        mass = trajectory.prefix[-1].boundary.mass
+        exc = trajectory.excs[-1]
+        feature_stream += [
+            entry + (float(mass + j * exc),) for j in range(1, trajectory.tail_len + 1)
+        ]
     rank_stream = []
     for fv in feature_stream:
         try:

@@ -10,7 +10,7 @@ variable) or after a fixed cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from blowup_lab.core import PURE_Z, Boundary, IdealSpec, State, TaggedMonomial, VariableSet
@@ -21,14 +21,16 @@ DIVISOR_Z = "divisor_z"
 DEFAULT_CAP = 30
 
 #: Distinct ideals kept by each process-wide memo: the chart rewrite below and
-#: the ideal part of the feature vector.  This holds the fixed-ideal tail every
-#: trajectory mostly ends in, and every builtin suite whole (focused71 has 186
-#: distinct ideals, extended100 412), so scoring a suite under several rankers
-#: in a row computes each ideal once: the benchmark's builtin_sweep misses the
-#: feature memo 555 times per pass, once per distinct ideal, where a bound of
-#: 256 cycled on extended100 and missed 1,771 times.  Against 256 the bound
-#: costs about 0.9 MB of peak RSS (23.5 -> 24.3 MB, +3.7%, on surrogate_long);
-#: an unbounded memo grows with every ideal a process ever sees.
+#: the ideal part of the feature vector.  Steps on a fixed-ideal V(z) tail look
+#: up neither memo: run_trajectory stops at the repeat, and the harness derives
+#: the tail's features by arithmetic.  The bound holds every builtin suite whole
+#: (focused71 has 186 distinct ideals, extended100 412), so scoring a suite
+#: under several rankers in a row computes each ideal once: the benchmark's
+#: builtin_sweep misses the feature memo 555 times per pass, once per distinct
+#: ideal, where a bound of 256 cycled on extended100 and missed 1,771 times.
+#: Against 256 the bound costs about 0.9 MB of peak RSS (23.5 -> 24.3 MB,
+#: +3.7%, on surrogate_long); an unbounded memo grows with every ideal a
+#: process ever sees.
 MEMO_ENTRIES = 512
 
 
@@ -174,19 +176,38 @@ def is_monomial_phase(ideal: IdealSpec) -> bool:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A run of canonical steps: states[k+1] == step(states[k])."""
+    """A run of canonical steps: states[k+1] == step(states[k]).
 
-    states: tuple[State, ...]
+    A fixed-ideal tail under the divisor center V(z) is kept as a count:
+    prefix ends at the first state that a V(z) step produced from the same
+    ideal, and each of the tail_len states after it keeps that ideal and its
+    base multiplicities (all 0) while z gains excs[-1].  centers and excs
+    cover every step, tail included.
+    """
+
+    prefix: tuple[State, ...]
+    tail_len: int
     centers: tuple[Center, ...]
     excs: tuple[int, ...]
     monomial_step: Optional[int]
+
+    @cached_property
+    def states(self) -> tuple[State, ...]:
+        """Every state; the tail is stepped out on first read."""
+        states = list(self.prefix)
+        for _ in range(self.tail_len):
+            states.append(step(states[-1])[0])
+        return tuple(states)
 
 
 def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     """Apply the canonical step until monomial phase or the step cap.
 
     The empty ideal counts as monomial phase (every transform can discard all
-    monomials), so the trajectory also stops there.
+    monomials), so the trajectory also stops there.  Stepping also stops at a
+    fixed ideal under V(z): the next ideal depends on the ideal alone, so every
+    later step repeats that center and exceptional exponent and never reaches
+    monomial phase; the remaining steps up to the cap become the tail.
     """
     if cap < 0:
         raise ValueError("step cap must be nonnegative")
@@ -194,6 +215,7 @@ def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     centers: list[Center] = []
     excs: list[int] = []
     monomial_step: Optional[int] = None
+    tail_len = 0
 
     if is_monomial_phase(initial.ideal):
         monomial_step = 0
@@ -205,15 +227,20 @@ def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
             states.append(current)
             centers.append(center)
             excs.append(exc)
-            # the memoized chart hands a fixed-ideal tail back its own ideal
-            # object, which already failed the check one step earlier
-            if current.ideal is not previous and is_monomial_phase(current.ideal):
+            # the memoized chart hands a fixed ideal back as the very object it
+            # was given, which already failed the check one step earlier
+            if current.ideal is previous:
+                if center.kind == DIVISOR_Z:
+                    tail_len = cap - k - 1
+                    break
+            elif is_monomial_phase(current.ideal):
                 monomial_step = k + 1
                 break
 
     return Trajectory(
-        states=tuple(states),
-        centers=tuple(centers),
-        excs=tuple(excs),
+        prefix=tuple(states),
+        tail_len=tail_len,
+        centers=tuple(centers + centers[-1:] * tail_len),
+        excs=tuple(excs + excs[-1:] * tail_len),
         monomial_step=monomial_step,
     )

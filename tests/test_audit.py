@@ -3,7 +3,8 @@
 ``_reference_audit`` keeps the audit as it was written before it compared
 ranks in native tuple order, once per consecutive pair: every comparison goes
 through ``lex_compare`` and each pass makes its own.  The two must agree on
-every report field and on the per-step detail.
+every report field and on the per-step detail, which a structural failure
+keeps for the steps before the first malformed rank.
 """
 
 from __future__ import annotations
@@ -61,10 +62,15 @@ def _reference_audit(
     n = len(ranks)
     tau = next((t for t in range(n) if features[t][9] == 1), n)
 
-    structural = any(_reference_is_malformed(r) for r in ranks) or any(
-        len(tuple(r)) != len(tuple(ranks[0])) for r in ranks
+    cut = next(
+        (
+            t
+            for t, r in enumerate(ranks)
+            if _reference_is_malformed(r) or len(tuple(r)) != len(tuple(ranks[0]))
+        ),
+        n,
     )
-    if structural:
+    if cut < n:
         report = ViolationReport(
             name=name,
             total_violations=STRUCTURAL_PENALTY,
@@ -77,7 +83,16 @@ def _reference_audit(
             max_plateau=0,
             solved=False,
         )
-        return TrajectoryAudit(report=report, step_flags=(0,) * n, best_improved=(False,) * n)
+        # the steps before the first malformed rank keep their detail
+        flags, improved = (), ()
+        if cut:
+            before = _reference_audit(ranks[:cut], features[:cut], cfg, name)
+            flags, improved = before.step_flags, before.best_improved
+        return TrajectoryAudit(
+            report=report,
+            step_flags=flags + (0,) * (n - cut),
+            best_improved=improved + (False,) * (n - cut),
+        )
 
     ranks = [tuple(r) for r in ranks]
     flags = [0] * n

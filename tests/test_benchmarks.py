@@ -206,6 +206,18 @@ def test_manifest_rejects_characteristic_above_bound(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_manifest_proves_a_shared_characteristic_once(tmp_path):
+    # trial division of 2^31 - 1 takes about 4 ms; repeated for each of 1,000
+    # entries it took about 4 s
+    path = tmp_path / "large_p.json"
+    entries = [dict(_GOOD_ENTRY, name=f"c{i}", p=2**31 - 1) for i in range(1000)]
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    start = time.perf_counter()
+    cases = load_manifest(path)
+    assert time.perf_counter() - start < 1.0
+    assert len(cases) == 1000 and cases[-1].p == 2**31 - 1
+
+
 def test_manifest_null_optional_fields_mean_absent(tmp_path):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps([dict(_GOOD_ENTRY, tags=None, notes=None)]), encoding="utf-8")

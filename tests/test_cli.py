@@ -120,6 +120,23 @@ def test_trace_writes_empty_cells_for_a_rank_that_raised(capsys):
     assert all(rows[t][f"rank_{i}"] != "" for t in (0, 2369) for i in range(5))
 
 
+def test_trace_keeps_the_detail_before_a_crashed_rank(capsys):
+    # the same run at a cap past the crash at step 2370: the steps before it
+    # keep their best-so-far marks and flags, and the steps from it on read 0
+    def trace(cap):
+        _, out, _ = _run(
+            capsys, "trace", "--ranker", "clean_lex", "--cap", str(cap),
+            "--poly", "z^3 + x^6 + w^6",
+        )
+        return [(r["best_so_far"], r["violation_flags"]) for r in csv.DictReader(io.StringIO(out))]
+
+    short, long = trace(2300), trace(2400)
+    assert len(short) == 2301 and len(long) == 2401
+    assert long[:2301] == short
+    assert sum(best == "1" for best, _ in short) == 2298
+    assert set(long[2370:]) == {("0", "0")}
+
+
 def test_trace_bad_poly(capsys):
     code, _, err = _run(capsys, "trace", "--ranker", "disc_lex", "--poly", "z^3 + q^2")
     assert code == 2

@@ -3,15 +3,17 @@
 The uncached path is the memoized function's own ``__wrapped__``, swapped in
 for the module attribute its caller looks up, so both sides run the same
 code and differ only in the memo.  Trajectories are also compared with a
-plain loop that checks for monomial phase after every step, which
-``run_trajectory`` skips on a fixed-ideal tail.
+plain loop that steps to the cap and checks for monomial phase after every
+step, where ``run_trajectory`` stops at a fixed-ideal V(z) tail and
+``simulate_case`` derives the tail's features by arithmetic.
 """
 
 from __future__ import annotations
 
 from unittest.mock import patch
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup_lab import features, simulator
@@ -27,10 +29,11 @@ from blowup_lab.core import (
     TaggedMonomial,
     VariableSet,
     infer_tag,
+    parse_polynomial,
 )
 from blowup_lab.features import extract_features
-from blowup_lab.harness import HarnessConfig, score_benchmark
-from blowup_lab.rankers import get_ranker
+from blowup_lab.harness import HarnessConfig, score_benchmark, simulate_case
+from blowup_lab.rankers import get_ranker, ranker_names
 from blowup_lab.simulator import MEMO_ENTRIES, is_monomial_phase, run_trajectory
 
 _TAGS = (PURE_Z, PURE_BASE, MIXED, OBLIQUE, "custom")
@@ -95,6 +98,84 @@ def test_step_memo_matches_uncached_chart(state, cap):
     assert memoized.centers == tuple(centers)
     assert memoized.excs == tuple(excs)
     assert memoized.monomial_step == monomial_step
+
+
+def _rank_hex(rank):
+    return None if rank is None else [v.hex() if isinstance(v, float) else v for v in rank]
+
+
+# exc = 0 under a codim2 center needs an all-zero monomial, which the parser
+# cannot produce.  The chart drops that monomial, so the ideal changes and the
+# loop runs on; feature extraction rejects the state (f24 has no exponent).
+_VARS4 = VariableSet.standard(4, 3)
+_ZERO_MONOMIAL = State.initial(
+    IdealSpec(
+        (
+            TaggedMonomial(MIXED, (0, 0, 0, 0)),
+            TaggedMonomial(MIXED, (1, 0, 0, 2)),
+            TaggedMonomial(PURE_BASE, (0, 2, 0, 0)),
+        )
+    ),
+    _VARS4,
+)
+
+
+# random small ideals mostly reach monomial phase within a few steps; the
+# suite cases mostly end in a fixed-ideal tail (a few never repeat an ideal)
+_CASES = broad24() + focused71() + extended100() + generate_broad_surrogates(1, 40)
+
+
+@st.composite
+def _case_states(draw):
+    case = draw(st.sampled_from(_CASES))
+    boundary = draw(st.tuples(*[st.integers(0, 12)] * case.vars.dim))
+    return State(case.ideal, Boundary(boundary), case.vars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=st.one_of(_states(), _case_states()),
+    cap=st.one_of(st.integers(0, 40), st.integers(41, 4096), st.just(4096)),
+    ranker=st.sampled_from(ranker_names()),
+)
+@example(state=_ZERO_MONOMIAL, cap=30, ranker="disc_lex")
+def test_compact_tail_matches_plain_loop(state, cap, ranker):
+    trajectory = run_trajectory(state, cap)
+    states, centers, excs, monomial_step = _plain_trajectory(state, cap)
+    assert trajectory.states == tuple(states)
+    assert trajectory.centers == tuple(centers)
+    assert trajectory.excs == tuple(excs)
+    assert trajectory.monomial_step == monomial_step
+    assert len(trajectory.prefix) + trajectory.tail_len == len(states)
+
+    rank_fn = get_ranker(ranker)
+    cfg = HarnessConfig(cap=cap)
+    try:
+        plain_features = [extract_features(s) for s in states]
+    except ValueError:
+        with pytest.raises(ValueError):
+            simulate_case(state, rank_fn, cfg)
+        return
+    plain_ranks = []
+    for fv in plain_features:
+        try:
+            plain_ranks.append(rank_fn(fv))
+        except Exception:
+            plain_ranks.append(None)
+    _, feature_stream, rank_stream = simulate_case(state, rank_fn, cfg)
+    assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in plain_features]
+    assert [_rank_hex(r) for r in rank_stream] == [_rank_hex(r) for r in plain_ranks]
+
+
+def test_fixed_point_tail_is_kept_as_a_count():
+    cap = 4096
+    state = State.initial(parse_polynomial("z^3 + x^6 + w^6", _VARS4), _VARS4)
+    trajectory, feature_stream, _ = simulate_case(state, get_ranker("r100"), HarnessConfig(cap=cap))
+    assert trajectory.monomial_step is None
+    assert trajectory.tail_len == cap + 1 - len(trajectory.prefix) > 4000
+    assert len(trajectory.states) == len(feature_stream) == cap + 1
+    assert trajectory.centers[-1].kind == simulator.DIVISOR_Z
+    assert trajectory.prefix[-1].ideal is trajectory.prefix[-2].ideal
 
 
 def test_builtin_sweep_computes_each_ideal_once():
