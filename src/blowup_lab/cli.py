@@ -100,7 +100,7 @@ def _cmd_trace(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for t, state_t in enumerate(trajectory.states):
+    for t in range(len(feature_stream)):
         if t < len(trajectory.centers):
             center = trajectory.centers[t]
             center_kind = center.kind

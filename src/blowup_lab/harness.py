@@ -104,6 +104,10 @@ def _as_rank(rank) -> Optional[tuple]:
     if not values:
         return None
     for v in values:
+        # exact int and float first; bool, other subclasses and non-finite
+        # floats take the isinstance chain
+        if type(v) is int or (type(v) is float and math.isfinite(v)):
+            continue
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             return None
         if not math.isfinite(v):
@@ -130,87 +134,79 @@ def audit_trajectory(
         raise ValueError("empty trajectory")
 
     n = len(ranks)
-    ranks = [_as_rank(r) for r in ranks]
-    cut = next((t for t, r in enumerate(ranks) if r is None or len(r) != len(ranks[0])), n)
-    if cut == n:
-        return _audit(ranks, features, cfg, name)
-
-    before = _audit(ranks[:cut], features[:cut], cfg, name) if cut else None
-    report = ViolationReport(
-        name=name,
-        total_violations=STRUCTURAL_PENALTY,
-        delay_violations=0,
-        normalization_violations=0,
-        align_f0=0.0,
-        align_f14=0.0,
-        structural_failure=True,
-        local_increases=0,
-        max_plateau=0,
-        solved=False,
-    )
-    return TrajectoryAudit(
-        report=report,
-        step_flags=(before.step_flags if before else ()) + (0,) * (n - cut),
-        best_improved=(before.best_improved if before else ()) + (False,) * (n - cut),
-    )
-
-
-def _audit(ranks: list, features: Sequence, cfg: HarnessConfig, name: str) -> TrajectoryAudit:
-    # audit_trajectory on a nonempty stream of well-formed, equal-length ranks
-    n = len(ranks)
     tau = next((t for t in range(n) if features[t][9] == 1), n)
+    window = cfg.window
     flags = [0] * n
+    improved = [False] * n
+    normalization = delay = align_f0_count = align_f14_count = 0
+    local_increases = max_plateau = run_length = last_improve = 0
+    prev = best = prev_fv = None
 
-    # order[t - 1] compares ranks[t] with ranks[t - 1] (-1, 0 or +1).  Native
-    # tuple order equals lex_compare here: the ranks passed audit_trajectory's
-    # gate, so they are equal-length tuples of finite ints and floats.
-    order = [-1 if a < b else int(a != b) for a, b in zip(ranks[1:], ranks)]
-
-    # normalization: first component is 0 exactly in monomial phase
-    normalization = 0
+    # One pass: a step's detail depends only on tau and the steps up to it,
+    # so stopping at the first malformed rank keeps the detail before it.
+    # Native tuple order equals lex_compare on the gated ranks, which are
+    # equal-length tuples of finite ints and floats.
     for t in range(n):
-        monomial = features[t][9] == 1
-        ok = (ranks[t][0] == 0) if monomial else (ranks[t][0] > 0)
-        if not ok:
+        rank = _as_rank(ranks[t])
+        if rank is None or (prev is not None and len(rank) != len(prev)):
+            report = ViolationReport(
+                name=name,
+                total_violations=STRUCTURAL_PENALTY,
+                delay_violations=0,
+                normalization_violations=0,
+                align_f0=0.0,
+                align_f14=0.0,
+                structural_failure=True,
+                local_increases=0,
+                max_plateau=0,
+                solved=False,
+            )
+            return TrajectoryAudit(report, tuple(flags), tuple(improved))
+        fv = features[t]
+        flag = 0
+        # normalization: first component is 0 exactly in monomial phase
+        if not ((rank[0] == 0) if fv[9] == 1 else (rank[0] > 0)):
             normalization += 1
-            flags[t] |= FLAG_NORMALIZATION
+            flag = FLAG_NORMALIZATION
 
-    # bounded delay on the running best
-    best = ranks[0]
-    improved = [True] + [False] * (n - 1)
-    last_improve = 0
-    delay = 0
-    for t in range(1, n):
-        if ranks[t] < best:
-            best = ranks[t]
-            last_improve = t
-            improved[t] = True
-        if t < tau and t - last_improve >= cfg.window:
-            delay += 1
-            flags[t] |= FLAG_DELAY
+        if prev is None:
+            best = rank
+            improved[0] = True
+        else:
+            # the running best is at most prev, so only a decrease can beat it;
+            # a plateau counts the consecutive indices that repeat a rank
+            decreased = rank < prev
+            if decreased:
+                run_length = 0
+                if rank < best:
+                    best = rank
+                    last_improve = t
+                    improved[t] = True
+            elif rank != prev:
+                local_increases += 1
+                run_length = 0
+            else:
+                run_length += 1
+                if run_length > max_plateau:
+                    max_plateau = run_length
 
-    # alignment: proxy drops must be reflected by an immediate rank decrease,
-    # up to and including the monomial-entry step
-    align_hi = min(tau, n - 1)
-    align_f0_count = 0
-    align_f14_count = 0
-    for t in range(1, align_hi + 1):
-        decreased = order[t - 1] < 0
-        if features[t][0] < features[t - 1][0] and not decreased:
-            align_f0_count += 1
-            flags[t] |= FLAG_ALIGN_F0
-        if features[t][14] < features[t - 1][14] and not decreased:
-            align_f14_count += 1
-            flags[t] |= FLAG_ALIGN_F14
+            # bounded delay on the running best, before monomial entry
+            if t < tau and t - last_improve >= window:
+                delay += 1
+                flag |= FLAG_DELAY
 
-    # diagnostics over the whole stream; a plateau is counted as the number
-    # of consecutive indices whose rank repeats the previous one
-    local_increases = order.count(1)
-    max_plateau = 0
-    run_length = 0
-    for c in order:
-        run_length = run_length + 1 if c == 0 else 0
-        max_plateau = max(max_plateau, run_length)
+            # alignment: proxy drops must be reflected by an immediate rank
+            # decrease, up to and including the monomial-entry step
+            if t <= tau and not decreased:
+                if fv[0] < prev_fv[0]:
+                    align_f0_count += 1
+                    flag |= FLAG_ALIGN_F0
+                if fv[14] < prev_fv[14]:
+                    align_f14_count += 1
+                    flag |= FLAG_ALIGN_F14
+
+        flags[t] = flag
+        prev, prev_fv = rank, fv
 
     align_f0 = HEAVY_WEIGHT * align_f0_count
     align_f14 = LIGHT_WEIGHT * align_f14_count

@@ -5,8 +5,9 @@ Four built-in rankers are provided:
 * ``two_component`` — a continuous pair (gate, weighted sum) whose scalar
   weights encode a component hierarchy;
 * ``clean_lex`` — the same five components returned unscalarized;
-* ``disc_lex`` / ``r100`` — five-component raw ranks meant to be composed
-  with the floor/offset/log discretization map into natural-number tuples.
+* ``disc_lex`` / ``r100`` — five-component raw ranks composed with the
+  floor/offset/log discretization map into integer tuples (only the fourth
+  component is clamped at 0; the others can be negative).
 
 ``disc_lex`` is defined as the depth-charge ``RankerTemplate`` at its default
 weights.  The template fixes the shape of a rank: the first component is the
@@ -169,25 +170,27 @@ def rank_r100_raw(fv: Sequence[float]) -> tuple[float, float, float, float, floa
     return (c1, c2, c3, c4, c5)
 
 
-def discretize(raw: Sequence[float]) -> tuple[int, int, int, int, int]:
-    """Floor/offset/log map sending a 5-component raw rank into naturals.
+_floor, _log = math.floor, math.log
 
-    The logarithmic compression of the fourth component keeps very negative
-    values comparable on a finite scale while preserving monotonicity (more
-    negative is better, i.e. smaller image).  The image is clamped at 0 so
-    the codomain is genuinely well-founded.
+
+def discretize(raw: Sequence[float]) -> tuple[int, int, int, int, int]:
+    """Floor/offset/log map sending a 5-component raw rank into integers.
+
+    Each image component is nondecreasing in its raw one.  The log compression
+    of the fourth keeps very negative values comparable on a finite scale
+    (more negative is better, i.e. smaller image).  Only d4 is clamped at 0;
+    the floors d1, d2, d3 and d5 can be negative: r100's d5 reaches -780 on
+    builtin-suite states and has no lower bound over the manifest grammar.
     """
     if len(raw) != 5:
         raise ValueError(f"discretization expects 5 components, got {len(raw)}")
     c1, c2, c3, c4, c5 = raw
-    d1 = math.floor(c1)
-    d2 = math.floor(100.0 * c2)
-    d3 = math.floor(10.0 * (c3 + 50.0))
-    d4 = 5000 - math.floor(100.0 * math.log(1.0 + max(0.0, -c4)))
-    if d4 < 0:
-        d4 = 0
-    d5 = math.floor(10.0 * (c5 + 20.0))
-    return (d1, d2, d3, d4, d5)
+    d1 = _floor(c1)
+    d2 = _floor(100.0 * c2)
+    d3 = _floor(10.0 * (c3 + 50.0))
+    # c4 >= 0 and NaN leave log(1) = 0, so d4 = 5000
+    d4 = 5000 - _floor(100.0 * _log(1.0 - c4)) if c4 < 0.0 else 5000
+    return (d1, d2, d3, d4 if d4 > 0 else 0, _floor(10.0 * (c5 + 20.0)))
 
 
 def lex_compare(a: Sequence[float], b: Sequence[float]) -> int:

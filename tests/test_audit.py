@@ -10,6 +10,9 @@ keeps for the steps before the first malformed rank.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 from typing import Sequence
 
 from hypothesis import given, settings
@@ -29,6 +32,11 @@ from blowup_lab.harness import (
     audit_trajectory,
 )
 from blowup_lab.rankers import lex_compare
+
+try:
+    import numpy
+except ImportError:  # the numpy values below are then left out
+    numpy = None
 
 
 def _reference_is_malformed(rank) -> bool:
@@ -161,17 +169,39 @@ def _reference_audit(
     return TrajectoryAudit(report=report, step_flags=tuple(flags), best_improved=tuple(improved))
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 3
+
+
+class _Real(float):
+    pass
+
+
+# int and float subclasses that the gate accepts only past its exact-type
+# fast path, and (with numpy) a numpy float, which is a float subclass too
+_SUBCLASSED = (_Level.LOW, _Level.HIGH, _Real(0.5), _Real(-0.0))
+if numpy is not None:
+    _SUBCLASSED += (numpy.float64(2.0), numpy.float64(0.5))
+
 # a small pool, so that ties, repeats and plateaus are common; 2**53 + 1 and
 # its nearest float differ only under exact int/float comparison
 _VALUES = st.one_of(
     st.sampled_from((0, 1, 2, 3, 2**53 + 1, 0.0, -0.0, 0.5, 1.0, 2.0, 3.0, float(2**53))),
+    st.sampled_from(_SUBCLASSED),
     st.integers(-5, 5),
     st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
 )
 
-# values and shapes the structural gate must reject
+# values and shapes the structural gate must reject; numpy.int64, Fraction
+# and Decimal are numbers but neither int nor float
+_REJECTED = (Fraction(1, 2), Decimal(1), False, -math.inf)
+if numpy is not None:
+    _REJECTED += (numpy.int64(1),)
 _MALFORMED = st.sampled_from(
     (None, (), 7, (float("nan"), 1.0), (float("inf"), 1.0), (True, 1.0), ("a", 1.0))
+    + tuple((value, 1.0) for value in _REJECTED)
+    + tuple((1.0, value) for value in _REJECTED)
 )
 
 

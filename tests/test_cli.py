@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from blowup_lab import simulator
 from blowup_lab.cli import main
 
 
@@ -135,6 +137,26 @@ def test_trace_keeps_the_detail_before_a_crashed_rank(capsys):
     assert long[:2301] == short
     assert sum(best == "1" for best, _ in short) == 2298
     assert set(long[2370:]) == {("0", "0")}
+
+
+def test_trace_does_not_step_out_the_tail(capsys, monkeypatch, tmp_path):
+    # the rows come from the feature stream and the compact trajectory's
+    # centers and excs; reading Trajectory.states would step out all 4,096
+    # tail states.  clean_lex's rank overflows at step 2370, so the audit's
+    # structural return writes the rows from there on.
+    def no_states(self):
+        raise AssertionError("trace read Trajectory.states")
+
+    monkeypatch.setattr(simulator.Trajectory, "states", property(no_states))
+    path = tmp_path / "trace.csv"
+    code, _, _ = _run(
+        capsys, "trace", "--ranker", "clean_lex", "--cap", "4096",
+        "--poly", "z^3 + x^6 + w^6", "--csv", str(path),
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4f9b713068ec4e8a043421df9dbb202c8d6511c822c6a2f5a11d6f98b83df15a"
+    )
 
 
 def test_trace_bad_poly(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from blowup_lab.benchmarks import focused71
+from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.core import State, parse_polynomial
 from blowup_lab.harness import (
     FLAG_DELAY,
@@ -24,7 +25,7 @@ from blowup_lab.harness import (
     simulate_case,
     verify_counterexamples,
 )
-from blowup_lab.rankers import RankerTemplate, get_ranker
+from blowup_lab.rankers import RankerTemplate, get_ranker, ranker_names
 
 
 def _features(n, monomial_at=None, f0=None, f14=None):
@@ -130,6 +131,16 @@ def test_structural_penalty_on_crash_marker_and_shape():
     assert report.structural_failure
     report = audit_trajectory([(3.0, 1.0), (3.0, 1.0, 1.0)], _features(2), cfg).report
     assert report.structural_failure
+
+
+def test_exact_int_beyond_float_range_is_a_finite_rank():
+    # an exact int passes the gate without a float conversion, so a value
+    # past the float range is finite and compares exactly
+    ranks = [(3, 10**400 + 1), (3, 10**400), (0, 0)]
+    audit = audit_trajectory(ranks, _features(3, monomial_at=2), HarnessConfig())
+    assert not audit.report.structural_failure
+    assert audit.report.solved
+    assert audit.best_improved == (True, True, True)
 
 
 def test_length_mismatch_rejected():
@@ -298,3 +309,27 @@ def test_simulate_case_records_crash_as_none(vars4, default_cfg):
 
     _, _, ranks = simulate_case(state, exploder, default_cfg)
     assert all(r is None for r in ranks)
+
+
+def test_audit_detail_digest_is_pinned():
+    # the report, the per-step flags and the best-so-far marks of every
+    # builtin-suite case under every ranker at cap 30, and of 200 generated
+    # cases under r100 at cap 120: the trace CSV is made of these, so a change
+    # to the audit that moves any of them moves the digest
+    digest = hashlib.sha256()
+    count = 0
+    runs = [(name, broad24() + focused71() + extended100(), 30) for name in ranker_names()]
+    runs.append(("r100", generate_broad_surrogates(1, 200), 120))
+    for name, cases, cap in runs:
+        cfg = HarnessConfig(cap=cap)
+        ranker = get_ranker(name)
+        for case in cases:
+            _, features, ranks = simulate_case(case.initial_state(), ranker, cfg)
+            audit = audit_trajectory(ranks, features, cfg, name=case.name)
+            detail = (audit.report.to_json_dict(), audit.step_flags, audit.best_improved)
+            digest.update(repr(detail).encode())
+            count += len(ranks)
+    assert count == 47_496
+    assert digest.hexdigest() == (
+        "e781d1ac827179b65796bdc938459860d86185ed2f73f01fa2747f86447dff1e"
+    )

@@ -161,6 +161,59 @@ def test_discretize_rejects_wrong_length():
         discretize((1.0, 2.0))
 
 
+def _reference_discretize(raw):
+    """discretize as written before its fourth component became one comparison."""
+    if len(raw) != 5:
+        raise ValueError(f"discretization expects 5 components, got {len(raw)}")
+    c1, c2, c3, c4, c5 = raw
+    d1 = math.floor(c1)
+    d2 = math.floor(100.0 * c2)
+    d3 = math.floor(10.0 * (c3 + 50.0))
+    d4 = 5000 - math.floor(100.0 * math.log(1.0 + max(0.0, -c4)))
+    if d4 < 0:
+        d4 = 0
+    d5 = math.floor(10.0 * (c5 + 20.0))
+    return (d1, d2, d3, d4, d5)
+
+
+def _discretize_outcome(function, raw):
+    """The image as (type, value) pairs, floats by float.hex, or the exception class."""
+    try:
+        image = function(raw)
+    except Exception as exc:
+        return type(exc)
+    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in image)
+
+
+_EDGE = st.sampled_from(
+    (0, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 10**400, -(10**400))
+)
+_COMPONENT = st.one_of(_EDGE, st.integers(), st.floats())
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_COMPONENT, min_size=4, max_size=6))
+@example([-0.0] * 5)
+@example([math.nan] * 5)
+@example([0.0, 0.0, 0.0, -math.exp(49.995), 0.0])  # d4 = 1, the last unclamped value
+@example([0.0, 0.0, 0.0, -math.exp(50.0), 0.0])
+@example([0.0, 0.0, 0.0, -math.inf, math.nan])
+@example([math.nan, 0.0, 0.0, -math.inf, 0.0])
+def test_discretize_matches_reference(raw):
+    assert _discretize_outcome(discretize, raw) == _discretize_outcome(_reference_discretize, raw)
+
+
+def test_discretize_matches_reference_on_builtin_raw_ranks():
+    # two_component's pairs take the length check
+    for name in ranker_names():
+        raw_rank = get_ranker(name).raw
+        for fv in _builtin_vectors():
+            raw = raw_rank(fv)
+            assert _discretize_outcome(discretize, raw) == _discretize_outcome(
+                _reference_discretize, raw
+            )
+
+
 def test_lex_compare_examples():
     assert lex_compare((3, 4280, 531, 5000, 220), (3, 999, 511, 4770, 210)) == GREATER
     assert lex_compare((0, 5), (0, 5)) == EQUAL
