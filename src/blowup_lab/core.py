@@ -155,6 +155,8 @@ class Boundary:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.multiplicities) is not tuple:  # a memo key must hash
+            object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
         if any(m < 0 for m in self.multiplicities):
             raise ValueError("boundary multiplicities must be nonnegative")
 

@@ -15,14 +15,16 @@ the ``STRUCTURAL_PENALTY`` and the curriculum ``STAGES`` are module constants.
 from __future__ import annotations
 
 import math
+import struct
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from blowup_lab.core import State, VariableSet, parse_polynomial
-from blowup_lab.features import extract_features
+from blowup_lab.features import NUM_FEATURES, extract_features
 from blowup_lab.rankers import get_ranker
-from blowup_lab.simulator import DEFAULT_CAP, run_trajectory
+from blowup_lab.simulator import DEFAULT_CAP, MEMO_ENTRIES, run_trajectory
 
 FLAG_DELAY = 1
 FLAG_NORMALIZATION = 2
@@ -105,12 +107,12 @@ def _as_rank(rank) -> Optional[tuple]:
         return None
     for v in values:
         # exact int and float first; bool, other subclasses and non-finite
-        # floats take the isinstance chain
+        # floats take the isinstance chain, where an int is finite by type
         if type(v) is int or (type(v) is float and math.isfinite(v)):
             continue
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             return None
-        if not math.isfinite(v):
+        if isinstance(v, float) and not math.isfinite(v):
             return None
     return values
 
@@ -237,17 +239,43 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
     return first == second
 
 
+#: Each case's prefix feature vectors packed as native doubles, by initial
+#: state and cap; oldest first, at most MEMO_ENTRIES entries and STREAM_VECTORS vectors.
+_streams: OrderedDict = OrderedDict()
+_VECTOR = struct.Struct(f"{NUM_FEATURES}d")
+STREAM_VECTORS = MEMO_ENTRIES * (DEFAULT_CAP + 1)
+
+
+def _remember(key, packed: bytes) -> None:
+    # lock-free: each memo call is atomic, and a racing eviction can only empty
+    # it.  dict.values runs no Python code; OrderedDict.values rehashes each key
+    _streams[key] = packed
+    held = sum(map(len, dict.values(_streams)))
+    while held > STREAM_VECTORS * _VECTOR.size or len(_streams) > MEMO_ENTRIES:
+        try:
+            held -= len(_streams.popitem(last=False)[1])
+        except KeyError:
+            return
+
+
 def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     """Run a trajectory and evaluate features and ranks along it.
 
     Ranker crashes are recorded as None ranks, which the audit treats as
     structural failures.  Features are extracted on the trajectory's prefix
-    only: on its V(z) tail the ideal and the base multiplicities are fixed, so
-    each tail vector is the last prefix vector with the boundary mass f25
-    raised by the exceptional exponent per step.
+    only, once per initial state and cap: on its V(z) tail the ideal and the
+    base multiplicities are fixed, so each tail vector is the last prefix
+    vector with the boundary mass f25 raised by the exceptional exponent per
+    step.  The trajectory is run, and every state ranked, on every call.
     """
     trajectory = run_trajectory(initial, cfg.cap)
-    feature_stream = [extract_features(s) for s in trajectory.prefix]
+    key = (initial.ideal, initial.boundary.multiplicities, initial.vars, cfg.cap)
+    packed = _streams.get(key)
+    if packed is None:
+        feature_stream = [extract_features(s) for s in trajectory.prefix]
+        _remember(key, b"".join([_VECTOR.pack(*fv) for fv in feature_stream]))
+    else:
+        feature_stream = list(_VECTOR.iter_unpack(packed))
     if trajectory.tail_len:
         entry = feature_stream[-1][:25]
         mass = trajectory.prefix[-1].boundary.mass

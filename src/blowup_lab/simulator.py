@@ -20,17 +20,17 @@ DIVISOR_Z = "divisor_z"
 
 DEFAULT_CAP = 30
 
-#: Distinct ideals kept by each process-wide memo: the chart rewrite below and
-#: the ideal part of the feature vector.  Steps on a fixed-ideal V(z) tail look
-#: up neither memo: run_trajectory stops at the repeat, and the harness derives
-#: the tail's features by arithmetic.  The bound holds every builtin suite whole
-#: (focused71 has 186 distinct ideals, extended100 412), so scoring a suite
-#: under several rankers in a row computes each ideal once: the benchmark's
-#: builtin_sweep misses the feature memo 555 times per pass, once per distinct
-#: ideal, where a bound of 256 cycled on extended100 and missed 1,771 times.
-#: Against 256 the bound costs about 0.9 MB of peak RSS (23.5 -> 24.3 MB,
-#: +3.7%, on surrogate_long); an unbounded memo grows with every ideal a
-#: process ever sees.
+#: Entries kept by each of three process-wide memos: the chart rewrite below
+#: and the ideal part of the feature vector (lru_caches keyed by ideal and
+#: vars), and harness.simulate_case's prefix feature streams (keyed by initial
+#: state and cap, packed 208 bytes a vector, oldest out first, and also bounded
+#: by MEMO_ENTRIES * (DEFAULT_CAP + 1) vectors).  The bound holds every builtin
+#: suite whole, so builtin_sweep computes each ideal and each stream once (a
+#: bound of 256 missed the feature memo 1,771 times per pass, not 555).  Heap
+#: held after one benchmark pass, chart/features/streams in KiB: builtin_sweep
+#: 653/777/279, surrogate_long 652/785/425, search_focused 245/290/153,
+#: wide_generators 626/736/117.  Trajectories and expanded tails are not kept;
+#: README gives the reasons and the peak RSS each memo costs per workload.
 MEMO_ENTRIES = 512
 
 

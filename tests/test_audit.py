@@ -30,6 +30,7 @@ from blowup_lab.harness import (
     TrajectoryAudit,
     ViolationReport,
     audit_trajectory,
+    score_benchmark,
 )
 from blowup_lab.rankers import lex_compare
 
@@ -247,3 +248,34 @@ def test_audit_matches_lex_compare_reference(stream, cfg):
     assert got == want
     # repr tells -0.0 from 0.0, so the same rank objects must have been kept
     assert repr(got) == repr(want)
+
+
+class _Big(int):
+    pass
+
+
+def _descending(kind):
+    # 0 in monomial phase, else a huge int that falls as the boundary mass rises
+    def rank(fv):
+        return (0,) if fv[9] == 1 else (kind(10**400 - int(fv[25])), fv[0])
+
+    return rank
+
+
+def test_an_int_past_the_float_range_is_a_finite_rank(suite_focused71):
+    # an int is finite by type: converting 10**400 to float would raise
+    # OverflowError out of the audit and abort the whole suite
+    features = [tuple([0.0] * 26)] * 2
+    reports = [
+        audit_trajectory([rank, rank], features, HarnessConfig(), name="c").report
+        for rank in ((_Big(10**400),), (10**400,))
+    ]
+    assert reports[0] == reports[1]
+    assert not reports[0].structural_failure
+
+    cfg = HarnessConfig()
+    cases = suite_focused71[:8]
+    subclassed = score_benchmark(_descending(_Big), cases, cfg, "s", "huge")
+    exact = score_benchmark(_descending(int), cases, cfg, "s", "huge")
+    assert subclassed == exact
+    assert not any(r.structural_failure for r in exact.reports)
