@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from blowup_lab.core import (
@@ -215,36 +216,27 @@ _EXTENSION_ROWS = (
     ("p3_A4_deep_variable_w", "z^3 + x^12 + y^6 + y^4*w^27", PROVENANCE_RECONSTRUCTED),
 )
 
-_SUITES: dict[str, tuple[BenchmarkCase, ...]] = {}
-
-
+@cache
 def broad24() -> tuple[BenchmarkCase, ...]:
-    if "broad24" not in _SUITES:
-        _SUITES["broad24"] = tuple(
-            _case(name, p, dim, poly, PROVENANCE_TABLE)
-            for name, p, dim, poly in _BROAD24_ROWS
-        )
-    return _SUITES["broad24"]
+    return tuple(
+        _case(name, p, dim, poly, PROVENANCE_TABLE) for name, p, dim, poly in _BROAD24_ROWS
+    )
 
 
+@cache
 def focused71() -> tuple[BenchmarkCase, ...]:
-    if "focused71" not in _SUITES:
-        rows = tuple(
-            _case(name, 3, 4, poly, PROVENANCE_TABLE)
-            for name, poly in _FOCUSED20_ROWS + _TRICKY51_ROWS
-        )
-        _SUITES["focused71"] = rows
-    return _SUITES["focused71"]
+    return tuple(
+        _case(name, 3, 4, poly, PROVENANCE_TABLE)
+        for name, poly in _FOCUSED20_ROWS + _TRICKY51_ROWS
+    )
 
 
+@cache
 def extended100() -> tuple[BenchmarkCase, ...]:
-    if "extended100" not in _SUITES:
-        extension = tuple(
-            _case(name, 3, 4, poly, provenance)
-            for name, poly, provenance in _EXTENSION_ROWS
-        )
-        _SUITES["extended100"] = focused71() + extension
-    return _SUITES["extended100"]
+    # focused71's own case objects, then the extension
+    return focused71() + tuple(
+        _case(name, 3, 4, poly, provenance) for name, poly, provenance in _EXTENSION_ROWS
+    )
 
 
 def builtin_suites() -> dict[str, tuple[BenchmarkCase, ...]]:

@@ -99,7 +99,7 @@ class VariableSet:
 
 @dataclass(frozen=True)
 class TaggedMonomial:
-    """Exponent vector plus an immutable symbolic tag."""
+    """Nonzero exponent vector plus an immutable symbolic tag."""
 
     tag: str
     exponents: tuple[int, ...]
@@ -107,6 +107,8 @@ class TaggedMonomial:
     def __post_init__(self) -> None:
         if any(e < 0 or not isinstance(e, int) for e in self.exponents):
             raise ValueError(f"exponents must be natural numbers: {self.exponents}")
+        if not any(self.exponents):
+            raise ValueError(f"a monomial needs a variable: {self.exponents}")
 
     @property
     def total_degree(self) -> int:

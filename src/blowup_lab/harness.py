@@ -240,22 +240,10 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
 
 
 #: Each case's prefix feature vectors packed as native doubles, by initial
-#: state and cap; oldest first, at most MEMO_ENTRIES entries and STREAM_VECTORS vectors.
+#: state and cap; oldest first, at most MEMO_ENTRIES entries of at most
+#: DEFAULT_CAP + 1 vectors each, so it holds 3.3 MB at most at any cap.
 _streams: OrderedDict = OrderedDict()
 _VECTOR = struct.Struct(f"{NUM_FEATURES}d")
-STREAM_VECTORS = MEMO_ENTRIES * (DEFAULT_CAP + 1)
-
-
-def _remember(key, packed: bytes) -> None:
-    # lock-free: each memo call is atomic, and a racing eviction can only empty
-    # it.  dict.values runs no Python code; OrderedDict.values rehashes each key
-    _streams[key] = packed
-    held = sum(map(len, dict.values(_streams)))
-    while held > STREAM_VECTORS * _VECTOR.size or len(_streams) > MEMO_ENTRIES:
-        try:
-            held -= len(_streams.popitem(last=False)[1])
-        except KeyError:
-            return
 
 
 def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
@@ -263,17 +251,22 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
 
     Ranker crashes are recorded as None ranks, which the audit treats as
     structural failures.  Features are extracted on the trajectory's prefix
-    only, once per initial state and cap: on its V(z) tail the ideal and the
-    base multiplicities are fixed, so each tail vector is the last prefix
-    vector with the boundary mass f25 raised by the exceptional exponent per
-    step.  The trajectory is run, and every state ranked, on every call.
+    only: on its V(z) tail the ideal and the base multiplicities are fixed,
+    so each tail vector is the last prefix vector with the boundary mass f25
+    raised by the exceptional exponent per step.  A prefix of at most
+    DEFAULT_CAP + 1 states is extracted once per initial state and cap; a
+    longer one, which only a cap above DEFAULT_CAP allows, on every call.
+    The trajectory is run, and every state ranked, on every call.
     """
     trajectory = run_trajectory(initial, cfg.cap)
     key = (initial.ideal, initial.boundary.multiplicities, initial.vars, cfg.cap)
     packed = _streams.get(key)
     if packed is None:
         feature_stream = [extract_features(s) for s in trajectory.prefix]
-        _remember(key, b"".join([_VECTOR.pack(*fv) for fv in feature_stream]))
+        if len(feature_stream) <= DEFAULT_CAP + 1:
+            _streams[key] = b"".join([_VECTOR.pack(*fv) for fv in feature_stream])
+            if len(_streams) > MEMO_ENTRIES:
+                _streams.popitem(last=False)
     else:
         feature_stream = list(_VECTOR.iter_unpack(packed))
     if trajectory.tail_len:

@@ -20,17 +20,10 @@ DIVISOR_Z = "divisor_z"
 
 DEFAULT_CAP = 30
 
-#: Entries kept by each of three process-wide memos: the chart rewrite below
-#: and the ideal part of the feature vector (lru_caches keyed by ideal and
-#: vars), and harness.simulate_case's prefix feature streams (keyed by initial
-#: state and cap, packed 208 bytes a vector, oldest out first, and also bounded
-#: by MEMO_ENTRIES * (DEFAULT_CAP + 1) vectors).  The bound holds every builtin
-#: suite whole, so builtin_sweep computes each ideal and each stream once (a
-#: bound of 256 missed the feature memo 1,771 times per pass, not 555).  Heap
-#: held after one benchmark pass, chart/features/streams in KiB: builtin_sweep
-#: 653/777/279, surrogate_long 652/785/425, search_focused 245/290/153,
-#: wide_generators 626/736/117.  Trajectories and expanded tails are not kept;
-#: README gives the reasons and the peak RSS each memo costs per workload.
+#: Entries kept by each process-wide memo: the chart rewrite below, the ideal
+#: part of the feature vector and harness.simulate_case's prefix feature
+#: streams.  It holds every builtin suite whole (extended100 has 412 distinct
+#: ideals), so scoring a suite under several rankers computes each ideal once.
 MEMO_ENTRIES = 512
 
 

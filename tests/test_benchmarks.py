@@ -47,6 +47,15 @@ def test_extended_extends_focused(suite_focused71, suite_extended100):
     assert len(fully_specified(suite_extended100)) == 95
 
 
+def test_builtin_suites_are_built_once():
+    # every call hands back the same case objects, and extended100 starts
+    # with focused71's own, so memos keyed by a case's ideal share entries
+    for suite in (broad24, focused71, extended100):
+        assert suite() is suite()
+    assert builtin_suites()["broad24"] is get_suite("broad24") is broad24()
+    assert all(a is b for a, b in zip(extended100()[:71], focused71(), strict=True))
+
+
 def test_specific_rows_present(suite_broad24, suite_focused71, suite_extended100):
     by_name = {c.name: c for c in suite_focused71}
     mix6e = by_name["p3_A4_cross_mix_6e"]

@@ -144,6 +144,16 @@ def test_infer_tag_zero_vector(vars4):
         infer_tag((0, 0, 0, 0), vars4)
 
 
+def test_monomial_rejects_the_zero_vector():
+    # no parser, chart or generator path builds one, and a state holding one
+    # fails feature extraction: f24 reads the positive exponents of the
+    # monomials of least degree
+    for exps in ((0, 0, 0, 0), (0,), ()):
+        with pytest.raises(ValueError, match="needs a variable"):
+            TaggedMonomial(MIXED, exps)
+    assert TaggedMonomial(MIXED, (0, 0, 0, 1)).total_degree == 1
+
+
 def test_render_round_trip_simple(vars4):
     text = "z^3 + x^12 + y^6 + w^9*y^4 + x^9*y^8*w^10"
     ideal = parse_polynomial(text, vars4)
