@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.features import NUM_FEATURES, extract_features
 from blowup_lab.rankers import get_ranker
-from blowup_lab.simulator import DEFAULT_CAP, MEMO_ENTRIES, run_trajectory
+from blowup_lab.simulator import DEFAULT_CAP, MEMO_ENTRIES, memo_key, run_trajectory
 
 FLAG_DELAY = 1
 FLAG_NORMALIZATION = 2
@@ -55,6 +55,8 @@ class HarnessConfig:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
+        if type(self.window) is not int or type(self.cap) is not int:
+            raise TypeError("window and cap must be ints")
         if self.window < 1:
             raise ValueError("window must be at least 1")
         if self.cap < 0:
@@ -253,13 +255,13 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     structural failures.  Features are extracted on the trajectory's prefix
     only: on its V(z) tail the ideal and the base multiplicities are fixed,
     so each tail vector is the last prefix vector with the boundary mass f25
-    raised by the exceptional exponent per step.  A prefix of at most
-    DEFAULT_CAP + 1 states is extracted once per initial state and cap; a
-    longer one, which only a cap above DEFAULT_CAP allows, on every call.
-    The trajectory is run, and every state ranked, on every call.
+    raised by the exceptional exponent per step.  Per initial state and cap,
+    a run of at most DEFAULT_CAP steps is stepped, and a prefix of at most
+    DEFAULT_CAP + 1 states extracted, once; a longer one on every call.
+    run_trajectory is called, and every state ranked, on every call.
     """
     trajectory = run_trajectory(initial, cfg.cap)
-    key = (initial.ideal, initial.boundary.multiplicities, initial.vars, cfg.cap)
+    key = memo_key(initial, cfg.cap)
     packed = _streams.get(key)
     if packed is None:
         feature_stream = [extract_features(s) for s in trajectory.prefix]

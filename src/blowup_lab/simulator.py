@@ -9,6 +9,7 @@ variable) or after a fixed cap.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -20,10 +21,9 @@ DIVISOR_Z = "divisor_z"
 
 DEFAULT_CAP = 30
 
-#: Entries kept by each process-wide memo: the chart rewrite below, the ideal
-#: part of the feature vector and harness.simulate_case's prefix feature
-#: streams.  It holds every builtin suite whole (extended100 has 412 distinct
-#: ideals), so scoring a suite under several rankers computes each ideal once.
+#: Entries kept by each process-wide memo: chart rewrites, ideal features, and
+#: each case's run and prefix features.  Every builtin suite fits whole (412
+#: distinct ideals in extended100), so each is computed once across rankers.
 MEMO_ENTRIES = 512
 
 
@@ -193,6 +193,15 @@ class Trajectory:
         return tuple(states)
 
 
+def memo_key(initial: State, cap: int) -> tuple:
+    """Key of the per-case memos: the initial state's fields and the cap."""
+    return (initial.ideal, initial.boundary.multiplicities, initial.vars, cap)
+
+
+#: Runs of at most DEFAULT_CAP steps by memo_key, oldest first; a hit is shared.
+_trajectories: OrderedDict = OrderedDict()
+
+
 def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     """Apply the canonical step until monomial phase or the step cap.
 
@@ -202,8 +211,22 @@ def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     later step repeats that center and exceptional exponent and never reaches
     monomial phase; the remaining steps up to the cap become the tail.
     """
+    if type(cap) is not int:
+        raise TypeError("step cap must be an int")
     if cap < 0:
         raise ValueError("step cap must be nonnegative")
+    key = memo_key(initial, cap)
+    trajectory = _trajectories.get(key)
+    if trajectory is None:
+        trajectory = _stepped(initial, cap)
+        if len(trajectory.centers) <= DEFAULT_CAP:
+            _trajectories[key] = trajectory
+            if len(_trajectories) > MEMO_ENTRIES:
+                _trajectories.popitem(last=False)
+    return trajectory
+
+
+def _stepped(initial: State, cap: int) -> Trajectory:
     states = [initial]
     centers: list[Center] = []
     excs: list[int] = []

@@ -46,6 +46,12 @@ def test_config_validation():
         HarnessConfig(window=0)
     with pytest.raises(ValueError):
         HarnessConfig(cap=-1)
+    # a float, bool or str would score at an int cap or fail at the first step
+    for value in (30.0, True, "30"):
+        with pytest.raises(TypeError):
+            HarnessConfig(window=value)
+        with pytest.raises(TypeError):
+            HarnessConfig(cap=value)
     # the rest of the protocol is fixed: only the window and the cap are settable
     assert [f.name for f in dataclasses.fields(HarnessConfig)] == ["window", "cap"]
 

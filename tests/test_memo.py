@@ -5,9 +5,10 @@ for the module attribute its caller looks up, so both sides run the same
 code and differ only in the memo.  Trajectories are also compared with a
 plain loop that steps to the cap and checks for monomial phase after every
 step, where ``run_trajectory`` stops at a fixed-ideal V(z) tail and
-``simulate_case`` derives the tail's features by arithmetic.  The harness's
-feature-stream memo is compared cold and warm against plain per-state
-``extract_features``.
+``simulate_case`` derives the tail's features by arithmetic.  The trajectory
+memo is compared cold and warm against its plain loop,
+``simulator._stepped``, and the harness's feature-stream memo against plain
+per-state ``extract_features``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def _hex(fv):
 
 
 def _key(state, cap):
-    # the stream memo's key: the initial state's fields and the cap
+    # the per-case memos' key, written out: the initial state's fields and
+    # the cap
     return (state.ideal, state.boundary.multiplicities, state.vars, cap)
 
 
@@ -181,6 +183,46 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
     assert list(harness._streams) == ([_key(state, cap)] if kept else [])
 
 
+def _held_runs_fit_the_default_cap():
+    return all(len(t.centers) <= DEFAULT_CAP for t in simulator._trajectories.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state=st.one_of(_states(), _case_states(), st.sampled_from(_INITIAL_STATES)),
+    cap=st.integers(0, 40),
+)
+def test_trajectory_memo_matches_plain_loop(state, cap):
+    # cold (its entry dropped), then warm; a run is held exactly when it has
+    # at most DEFAULT_CAP steps, and a warm call hands back the held run
+    key = _key(state, cap)
+    simulator._trajectories.pop(key, None)
+    plain = simulator._stepped(state, cap)
+    cold = run_trajectory(state, cap)
+    warm = run_trajectory(state, cap)
+    for trajectory in (cold, warm):
+        assert trajectory.prefix == plain.prefix
+        assert trajectory.tail_len == plain.tail_len
+        assert trajectory.centers == plain.centers
+        assert trajectory.excs == plain.excs
+        assert trajectory.monomial_step == plain.monomial_step
+    held = len(plain.centers) <= DEFAULT_CAP
+    assert (key in simulator._trajectories) == held
+    assert (warm is cold) == held
+    assert _held_runs_fit_the_default_cap()
+
+
+def test_non_int_caps_are_refused():
+    # a float or bool cap equals an int key, so it would hit a held run
+    state = focused71()[0].initial_state()
+    run_trajectory(state, 30)
+    run_trajectory(state, 1)
+    assert _key(state, 30) in simulator._trajectories
+    for cap in (30.0, True, "30"):
+        with pytest.raises(TypeError):
+            run_trajectory(state, cap)
+
+
 def test_fixed_point_tail_is_kept_as_a_count():
     cap = 4096
     state = State.initial(parse_polynomial("z^3 + x^6 + w^6", _VARS4), _VARS4)
@@ -194,11 +236,21 @@ def test_fixed_point_tail_is_kept_as_a_count():
 
 @pytest.fixture
 def cold_memos():
-    """Clear every process-wide memo: a warm feature-stream memo skips the
-    ideal memos, whose misses the tests below count."""
+    """Clear every process-wide memo: a warm feature-stream or trajectory
+    memo skips the ideal memos, whose misses the tests below count."""
     simulator._chart.cache_clear()
     features._ideal_features.cache_clear()
+    simulator._trajectories.clear()
     harness._streams.clear()
+
+
+def test_cold_memos_clears_every_memo(request):
+    simulate_case(focused71()[0].initial_state(), get_ranker("r100"), HarnessConfig())
+    memos = (simulator._chart, features._ideal_features)
+    assert simulator._trajectories and harness._streams
+    request.getfixturevalue("cold_memos")
+    assert not simulator._trajectories and not harness._streams
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
 def _held_vectors():
@@ -249,18 +301,24 @@ def test_list_boundary_scores_as_its_tuple():
 
 
 def test_each_scoring_runs_every_trajectory(cold_memos):
-    # a warm stream memo still simulates and ranks every case, but extracts
-    # no feature: focused71's 62 distinct initial states have 677 prefix
-    # states at the default cap, so even the first scoring hits 9 times
+    # warm memos still call run_trajectory on and rank every case, but step
+    # and extract nothing: focused71's 62 distinct initial states have 677
+    # prefix states at the default cap, so even the first scoring hits 9 times
     cases = focused71()
     trajectories = []
+    stepped = []
     extractions = []
     real_trajectory = harness.run_trajectory
+    real_stepped = simulator._stepped
     real_extract = harness.extract_features
 
     def counted_trajectory(*args, **kwargs):
         trajectories.append(args[0])
         return real_trajectory(*args, **kwargs)
+
+    def counted_stepped(*args, **kwargs):
+        stepped.append(args[0])
+        return real_stepped(*args, **kwargs)
 
     def counted_extract(state):
         extractions.append(state)
@@ -268,31 +326,37 @@ def test_each_scoring_runs_every_trajectory(cold_memos):
 
     reports = []
     with patch.object(harness, "run_trajectory", counted_trajectory), patch.object(
-        harness, "extract_features", counted_extract
-    ):
+        simulator, "_stepped", counted_stepped
+    ), patch.object(harness, "extract_features", counted_extract):
         for _ in range(2):
             reports.append(score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig()))
+            assert len(stepped) == 62
             assert len(extractions) == 677
     assert len(trajectories) == 142
+    assert len(set(stepped)) == 62
     assert reports[0] == reports[1]
 
 
 def test_threads_share_the_stream_memo(cold_memos):
-    # workers=2 equals workers=1 with the memo cold and warm; then more
-    # workers than cores, with a short switch interval, over more cases
-    # than the memo holds, so that threads insert and evict at once
+    # workers=2 equals workers=1 with the per-case memos cold and warm; then
+    # more workers than cores, with a short switch interval, over more cases
+    # than either memo holds, so that threads insert and evict at once
     cases = broad24() + focused71() + extended100()
     ranker = get_ranker("r100")
     cfg = HarnessConfig()
     runs = []
     for workers in ((1, 2), (2, 1)):
+        simulator._trajectories.clear()
         harness._streams.clear()
         runs += [score_benchmark(ranker, cases, cfg, "s", "r100", workers=w) for w in workers]
     assert all(run == runs[0] for run in runs)
 
     many = generate_broad_surrogates(2, 600)
+    assert len({_key(c.initial_state(), cfg.cap) for c in many}) > MEMO_ENTRIES
+    simulator._trajectories.clear()
     harness._streams.clear()
     serial = score_benchmark(ranker, many, cfg, "s", "r100")
+    simulator._trajectories.clear()
     harness._streams.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -302,7 +366,9 @@ def test_threads_share_the_stream_memo(cold_memos):
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert len(harness._streams) <= MEMO_ENTRIES
+    assert len(simulator._trajectories) <= MEMO_ENTRIES
     assert _entries_fit_the_default_cap()
+    assert _held_runs_fit_the_default_cap()
 
 
 def test_stream_memo_holds_at_most_its_vector_budget(cold_memos):
@@ -313,9 +379,9 @@ def test_stream_memo_holds_at_most_its_vector_budget(cold_memos):
     assert len(cases) == 2
     cfg = HarnessConfig(cap=8000)
     first = score_benchmark(get_ranker("disc_lex"), cases, cfg)
-    assert not harness._streams
+    assert not harness._streams and not simulator._trajectories
     assert score_benchmark(get_ranker("disc_lex"), cases, cfg) == first
-    assert not harness._streams
+    assert not harness._streams and not simulator._trajectories
 
     score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig())
     assert list(harness._streams) == [_key(c.initial_state(), DEFAULT_CAP) for c in cases]
@@ -351,12 +417,18 @@ def test_memos_stay_within_their_bound(cold_memos):
         assert info.misses > MEMO_ENTRIES  # the bound was actually reached
         assert info.currsize <= MEMO_ENTRIES
 
-    # the stream memo keys by (initial state, cap): two more caps give 600
-    # distinct keys, and it keeps the newest MEMO_ENTRIES of them
+    # the per-case memos key by (initial state, cap): more caps give more
+    # distinct keys than either holds, and each keeps the newest MEMO_ENTRIES
+    # of its own.  Every surrogate runs to the cap, so the trajectory memo
+    # holds only the runs of caps up to DEFAULT_CAP
     keys = [_key(c.initial_state(), 120) for c in cases]
-    for cap in (60, 30):
+    for cap in (60, 30, 20, 10):
         score_benchmark(get_ranker("r100"), cases, HarnessConfig(cap=cap))
         keys += [_key(c.initial_state(), cap) for c in cases]
-    assert len(set(keys)) == len(keys) > MEMO_ENTRIES
+    assert len(set(keys)) == len(keys)
+    run_keys = [k for k in keys if k[-1] <= DEFAULT_CAP]
+    assert len(run_keys) > MEMO_ENTRIES
     assert list(harness._streams) == keys[-MEMO_ENTRIES:]
+    assert list(simulator._trajectories) == run_keys[-MEMO_ENTRIES:]
     assert _entries_fit_the_default_cap()
+    assert _held_runs_fit_the_default_cap()
