@@ -248,6 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except OverflowError as exc:
+        print(f"error: OverflowError: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import OrderedDict
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.features import NUM_FEATURES, extract_features
 from blowup_lab.rankers import get_ranker
-from blowup_lab.simulator import DEFAULT_CAP, MEMO_ENTRIES, memo_key, run_trajectory
+from blowup_lab.simulator import DEFAULT_CAP, run_trajectory
 
 FLAG_DELAY = 1
 FLAG_NORMALIZATION = 2
@@ -241,10 +241,9 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
     return first == second
 
 
-#: Each case's prefix feature vectors packed as native doubles, by initial
-#: state and cap; oldest first, at most MEMO_ENTRIES entries of at most
-#: DEFAULT_CAP + 1 vectors each, so it holds 3.3 MB at most at any cap.
-_streams: OrderedDict = OrderedDict()
+#: Each run's prefix feature vectors packed as native doubles, by Trajectory
+#: object: an entry lives exactly as long as its run.
+_streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _VECTOR = struct.Struct(f"{NUM_FEATURES}d")
 
 
@@ -255,20 +254,16 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     structural failures.  Features are extracted on the trajectory's prefix
     only: on its V(z) tail the ideal and the base multiplicities are fixed,
     so each tail vector is the last prefix vector with the boundary mass f25
-    raised by the exceptional exponent per step.  Per initial state and cap,
-    a run of at most DEFAULT_CAP steps is stepped, and a prefix of at most
-    DEFAULT_CAP + 1 states extracted, once; a longer one on every call.
-    run_trajectory is called, and every state ranked, on every call.
+    raised by the exceptional exponent per step.  A run's prefix is extracted
+    once and kept as long as the run, so at a cap up to DEFAULT_CAP, where
+    run_trajectory hands back one run per case, a case is extracted once per
+    process.  run_trajectory is called, and every state ranked, on every call.
     """
     trajectory = run_trajectory(initial, cfg.cap)
-    key = memo_key(initial, cfg.cap)
-    packed = _streams.get(key)
+    packed = _streams.get(trajectory)
     if packed is None:
         feature_stream = [extract_features(s) for s in trajectory.prefix]
-        if len(feature_stream) <= DEFAULT_CAP + 1:
-            _streams[key] = b"".join([_VECTOR.pack(*fv) for fv in feature_stream])
-            if len(_streams) > MEMO_ENTRIES:
-                _streams.popitem(last=False)
+        _streams[trajectory] = b"".join([_VECTOR.pack(*fv) for fv in feature_stream])
     else:
         feature_stream = list(_VECTOR.iter_unpack(packed))
     if trajectory.tail_len:

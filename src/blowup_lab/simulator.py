@@ -9,7 +9,6 @@ variable) or after a fixed cap.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -21,8 +20,8 @@ DIVISOR_Z = "divisor_z"
 
 DEFAULT_CAP = 30
 
-#: Entries kept by each process-wide memo: chart rewrites, ideal features, and
-#: each case's run and prefix features.  Every builtin suite fits whole (412
+#: Entries kept by each process-wide lru_cache: chart rewrites, ideal features
+#: and runs at caps up to DEFAULT_CAP.  Every builtin suite fits whole (412
 #: distinct ideals in extended100), so each is computed once across rankers.
 MEMO_ENTRIES = 512
 
@@ -167,7 +166,7 @@ def is_monomial_phase(ideal: IdealSpec) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A run of canonical steps: states[k+1] == step(states[k]).
 
@@ -175,7 +174,7 @@ class Trajectory:
     prefix ends at the first state that a V(z) step produced from the same
     ideal, and each of the tail_len states after it keeps that ideal and its
     base multiplicities (all 0) while z gains excs[-1].  centers and excs
-    cover every step, tail included.
+    cover every step, tail included.  A run compares and hashes by identity.
     """
 
     prefix: tuple[State, ...]
@@ -193,15 +192,6 @@ class Trajectory:
         return tuple(states)
 
 
-def memo_key(initial: State, cap: int) -> tuple:
-    """Key of the per-case memos: the initial state's fields and the cap."""
-    return (initial.ideal, initial.boundary.multiplicities, initial.vars, cap)
-
-
-#: Runs of at most DEFAULT_CAP steps by memo_key, oldest first; a hit is shared.
-_trajectories: OrderedDict = OrderedDict()
-
-
 def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     """Apply the canonical step until monomial phase or the step cap.
 
@@ -209,21 +199,17 @@ def run_trajectory(initial: State, cap: int = DEFAULT_CAP) -> Trajectory:
     monomials), so the trajectory also stops there.  Stepping also stops at a
     fixed ideal under V(z): the next ideal depends on the ideal alone, so every
     later step repeats that center and exceptional exponent and never reaches
-    monomial phase; the remaining steps up to the cap become the tail.
+    monomial phase; the remaining steps up to the cap become the tail.  A run
+    at a cap up to DEFAULT_CAP is memoized: a repeat call hands back the same
+    Trajectory.
     """
     if type(cap) is not int:
         raise TypeError("step cap must be an int")
     if cap < 0:
         raise ValueError("step cap must be nonnegative")
-    key = memo_key(initial, cap)
-    trajectory = _trajectories.get(key)
-    if trajectory is None:
-        trajectory = _stepped(initial, cap)
-        if len(trajectory.centers) <= DEFAULT_CAP:
-            _trajectories[key] = trajectory
-            if len(_trajectories) > MEMO_ENTRIES:
-                _trajectories.popitem(last=False)
-    return trajectory
+    if cap <= DEFAULT_CAP:
+        return _held_run(initial, cap)
+    return _stepped(initial, cap)
 
 
 def _stepped(initial: State, cap: int) -> Trajectory:
@@ -260,3 +246,7 @@ def _stepped(initial: State, cap: int) -> Trajectory:
         excs=tuple(excs + excs[-1:] * tail_len),
         monomial_step=monomial_step,
     )
+
+
+#: Runs by (initial state, cap), for caps up to DEFAULT_CAP only.
+_held_run = lru_cache(maxsize=MEMO_ENTRIES)(_stepped)

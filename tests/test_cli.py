@@ -165,6 +165,22 @@ def test_trace_bad_poly(capsys):
     assert "error" in err
 
 
+def test_overflowing_exponent_is_a_bad_argument(capsys, tmp_path):
+    # x^(10^320) parses, but its features overflow a float; that is a bad
+    # input (2), not an unsolved case (1), under trace and under run alike
+    poly = "z^3 + x^1" + "0" * 320
+    code, _, err = _run(capsys, "trace", "--ranker", "r100", "--poly", poly)
+    assert code == 2
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+    path = tmp_path / "huge.json"
+    entry = {"name": "huge", "p": 3, "dim": 4, "vars": ["x", "y", "w", "z"], "poly": poly}
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    code, _, err = _run(capsys, "run", "--ranker", "r100", "--suite", str(path))
+    assert code == 2
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+
 def test_verify_counterexamples(capsys):
     code, out, _ = _run(capsys, "verify-counterexamples")
     assert code == 0

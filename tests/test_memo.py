@@ -5,14 +5,15 @@ for the module attribute its caller looks up, so both sides run the same
 code and differ only in the memo.  Trajectories are also compared with a
 plain loop that steps to the cap and checks for monomial phase after every
 step, where ``run_trajectory`` stops at a fixed-ideal V(z) tail and
-``simulate_case`` derives the tail's features by arithmetic.  The trajectory
-memo is compared cold and warm against its plain loop,
-``simulator._stepped``, and the harness's feature-stream memo against plain
-per-state ``extract_features``.
+``simulate_case`` derives the tail's features by arithmetic.  The run memo
+``simulator._held_run`` is compared cold and warm against its plain loop,
+``simulator._stepped``, and the harness's feature streams, which live as long
+as their runs, against plain per-state ``extract_features``.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from unittest.mock import patch
 
@@ -68,9 +69,8 @@ def _hex(fv):
 
 
 def _key(state, cap):
-    # the per-case memos' key, written out: the initial state's fields and
-    # the cap
-    return (state.ideal, state.boundary.multiplicities, state.vars, cap)
+    # the run memo's key
+    return (state, cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,9 +152,10 @@ _INITIAL_STATES = [case.initial_state() for case in _CASES]
 )
 @example(state=_NEVER_REPEATS[0].initial_state(), cap=120, ranker="disc_lex")
 def test_compact_tail_matches_plain_loop(state, cap, ranker):
-    # simulate_case runs cold (its stream memo cleared) and then warm, and
-    # both must give the plain loop's features, ranks and audit; the memo
-    # keeps the prefix exactly when it fits the default cap
+    # simulate_case runs cold (the streams cleared) and then warm, and both
+    # must give the plain loop's features, ranks and audit; the warm call
+    # reuses the run, and its stream, exactly when the cap is at most the
+    # default, and only the last run's stream is left
     trajectory = run_trajectory(state, cap)
     states, centers, excs, monomial_step = _plain_trajectory(state, cap)
     assert trajectory.states == tuple(states)
@@ -175,16 +176,20 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
             plain_ranks.append(None)
     plain_audit = audit_trajectory(plain_ranks, plain_features, cfg)
     for _ in ("cold", "warm"):
-        _, feature_stream, rank_stream = simulate_case(state, rank_fn, cfg)
+        run, feature_stream, rank_stream = simulate_case(state, rank_fn, cfg)
         assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in plain_features]
         assert [_rank_hex(r) for r in rank_stream] == [_rank_hex(r) for r in plain_ranks]
         assert audit_trajectory(rank_stream, feature_stream, cfg) == plain_audit
-    kept = len(trajectory.prefix) <= DEFAULT_CAP + 1
-    assert list(harness._streams) == ([_key(state, cap)] if kept else [])
+        assert (run is trajectory) == (cap <= DEFAULT_CAP)
+    assert list(harness._streams) == [run]
+    assert _streams_match_their_runs()
 
 
-def _held_runs_fit_the_default_cap():
-    return all(len(t.centers) <= DEFAULT_CAP for t in simulator._trajectories.values())
+def _streams_match_their_runs():
+    return all(
+        len(packed) == len(run.prefix) * harness._VECTOR.size
+        for run, packed in harness._streams.items()
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -193,10 +198,9 @@ def _held_runs_fit_the_default_cap():
     cap=st.integers(0, 40),
 )
 def test_trajectory_memo_matches_plain_loop(state, cap):
-    # cold (its entry dropped), then warm; a run is held exactly when it has
-    # at most DEFAULT_CAP steps, and a warm call hands back the held run
-    key = _key(state, cap)
-    simulator._trajectories.pop(key, None)
+    # cold (the run memo cleared), then warm; a run is held exactly when its
+    # cap is at most DEFAULT_CAP, and a warm call hands back the held run
+    simulator._held_run.cache_clear()
     plain = simulator._stepped(state, cap)
     cold = run_trajectory(state, cap)
     warm = run_trajectory(state, cap)
@@ -206,18 +210,17 @@ def test_trajectory_memo_matches_plain_loop(state, cap):
         assert trajectory.centers == plain.centers
         assert trajectory.excs == plain.excs
         assert trajectory.monomial_step == plain.monomial_step
-    held = len(plain.centers) <= DEFAULT_CAP
-    assert (key in simulator._trajectories) == held
+    held = cap <= DEFAULT_CAP
+    assert simulator._held_run.cache_info().currsize == held
     assert (warm is cold) == held
-    assert _held_runs_fit_the_default_cap()
 
 
 def test_non_int_caps_are_refused():
     # a float or bool cap equals an int key, so it would hit a held run
     state = focused71()[0].initial_state()
-    run_trajectory(state, 30)
-    run_trajectory(state, 1)
-    assert _key(state, 30) in simulator._trajectories
+    held = run_trajectory(state, 30)
+    assert simulator._held_run(state, 30.0) is held
+    assert simulator._held_run(state, True) is run_trajectory(state, 1)
     for cap in (30.0, True, "30"):
         with pytest.raises(TypeError):
             run_trajectory(state, cap)
@@ -236,20 +239,25 @@ def test_fixed_point_tail_is_kept_as_a_count():
 
 @pytest.fixture
 def cold_memos():
-    """Clear every process-wide memo: a warm feature-stream or trajectory
-    memo skips the ideal memos, whose misses the tests below count."""
+    """Clear every process-wide memo: a warm feature stream or run skips the
+    ideal memos, whose misses the tests below count.  A stream lives as long
+    as its run, so clearing the run memo drops the streams."""
     simulator._chart.cache_clear()
     features._ideal_features.cache_clear()
-    simulator._trajectories.clear()
-    harness._streams.clear()
+    _cold_runs()
+
+
+def _cold_runs():
+    simulator._held_run.cache_clear()
+    gc.collect()
 
 
 def test_cold_memos_clears_every_memo(request):
     simulate_case(focused71()[0].initial_state(), get_ranker("r100"), HarnessConfig())
-    memos = (simulator._chart, features._ideal_features)
-    assert simulator._trajectories and harness._streams
+    memos = (simulator._chart, features._ideal_features, simulator._held_run)
+    assert harness._streams and all(memo.cache_info().currsize for memo in memos)
     request.getfixturevalue("cold_memos")
-    assert not simulator._trajectories and not harness._streams
+    assert not harness._streams
     assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
@@ -257,27 +265,22 @@ def _held_vectors():
     return sum(map(len, harness._streams.values())) // harness._VECTOR.size
 
 
-def _entries_fit_the_default_cap():
-    return all(
-        len(packed) <= (DEFAULT_CAP + 1) * harness._VECTOR.size
-        for packed in harness._streams.values()
-    )
-
-
 def test_returned_streams_are_the_callers_own(cold_memos):
+    # the second call hands out a copy of the stream the first one kept
     state = focused71()[0].initial_state()
     rank_fn = get_ranker("disc_lex")
-    cfg = HarnessConfig(cap=120)
-    _, feature_stream, rank_stream = simulate_case(state, rank_fn, cfg)
+    cfg = HarnessConfig()
+    first, feature_stream, rank_stream = simulate_case(state, rank_fn, cfg)
     want = [_hex(fv) for fv in feature_stream]
-    assert len(want) == 121
+    assert len(want) == DEFAULT_CAP + 1
     feature_stream[0] = (0.0,) * 26
     feature_stream.reverse()
-    del feature_stream[-40:]
+    del feature_stream[-10:]
     rank_stream.clear()
-    _, again, ranks = simulate_case(state, rank_fn, cfg)
+    again_run, again, ranks = simulate_case(state, rank_fn, cfg)
+    assert again_run is first and first in harness._streams
     assert [_hex(fv) for fv in again] == want
-    assert len(ranks) == 121
+    assert len(ranks) == DEFAULT_CAP + 1
 
 
 def _stream_hex(result):
@@ -306,19 +309,13 @@ def test_each_scoring_runs_every_trajectory(cold_memos):
     # prefix states at the default cap, so even the first scoring hits 9 times
     cases = focused71()
     trajectories = []
-    stepped = []
     extractions = []
     real_trajectory = harness.run_trajectory
-    real_stepped = simulator._stepped
     real_extract = harness.extract_features
 
     def counted_trajectory(*args, **kwargs):
         trajectories.append(args[0])
         return real_trajectory(*args, **kwargs)
-
-    def counted_stepped(*args, **kwargs):
-        stepped.append(args[0])
-        return real_stepped(*args, **kwargs)
 
     def counted_extract(state):
         extractions.append(state)
@@ -326,38 +323,36 @@ def test_each_scoring_runs_every_trajectory(cold_memos):
 
     reports = []
     with patch.object(harness, "run_trajectory", counted_trajectory), patch.object(
-        simulator, "_stepped", counted_stepped
-    ), patch.object(harness, "extract_features", counted_extract):
+        harness, "extract_features", counted_extract
+    ):
         for _ in range(2):
             reports.append(score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig()))
-            assert len(stepped) == 62
+            assert simulator._held_run.cache_info().misses == 62
             assert len(extractions) == 677
     assert len(trajectories) == 142
-    assert len(set(stepped)) == 62
+    assert len(harness._streams) == 62
     assert reports[0] == reports[1]
 
 
 def test_threads_share_the_stream_memo(cold_memos):
     # workers=2 equals workers=1 with the per-case memos cold and warm; then
     # more workers than cores, with a short switch interval, over more cases
-    # than either memo holds, so that threads insert and evict at once
+    # than the run memo holds, so that threads insert and evict runs, and
+    # drop their streams, at once
     cases = broad24() + focused71() + extended100()
     ranker = get_ranker("r100")
     cfg = HarnessConfig()
     runs = []
     for workers in ((1, 2), (2, 1)):
-        simulator._trajectories.clear()
-        harness._streams.clear()
+        _cold_runs()
         runs += [score_benchmark(ranker, cases, cfg, "s", "r100", workers=w) for w in workers]
     assert all(run == runs[0] for run in runs)
 
     many = generate_broad_surrogates(2, 600)
     assert len({_key(c.initial_state(), cfg.cap) for c in many}) > MEMO_ENTRIES
-    simulator._trajectories.clear()
-    harness._streams.clear()
+    _cold_runs()
     serial = score_benchmark(ranker, many, cfg, "s", "r100")
-    simulator._trajectories.clear()
-    harness._streams.clear()
+    _cold_runs()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -366,25 +361,26 @@ def test_threads_share_the_stream_memo(cold_memos):
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert len(harness._streams) <= MEMO_ENTRIES
-    assert len(simulator._trajectories) <= MEMO_ENTRIES
-    assert _entries_fit_the_default_cap()
-    assert _held_runs_fit_the_default_cap()
+    assert simulator._held_run.cache_info().currsize <= MEMO_ENTRIES
+    assert _streams_match_their_runs()
 
 
 def test_stream_memo_holds_at_most_its_vector_budget(cold_memos):
     # the two broad24 cases that never repeat an ideal have an 8,001-state
-    # prefix at cap 8000, which is not kept: each scoring extracts it again.
-    # At the default cap their 31-state prefixes fit, and are kept
+    # prefix at cap 8000: neither its run nor its stream outlives the
+    # scoring, so each scoring steps and extracts it again.  At the default
+    # cap their runs are held, and with them their 31-vector streams
     cases = _NEVER_REPEATS
     assert len(cases) == 2
     cfg = HarnessConfig(cap=8000)
     first = score_benchmark(get_ranker("disc_lex"), cases, cfg)
-    assert not harness._streams and not simulator._trajectories
+    assert not harness._streams and not simulator._held_run.cache_info().currsize
     assert score_benchmark(get_ranker("disc_lex"), cases, cfg) == first
-    assert not harness._streams and not simulator._trajectories
+    assert not harness._streams and not simulator._held_run.cache_info().currsize
 
     score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig())
-    assert list(harness._streams) == [_key(c.initial_state(), DEFAULT_CAP) for c in cases]
+    held = [run_trajectory(c.initial_state(), DEFAULT_CAP) for c in cases]
+    assert list(harness._streams) == held
     assert _held_vectors() == 2 * (DEFAULT_CAP + 1)
 
 
@@ -417,10 +413,10 @@ def test_memos_stay_within_their_bound(cold_memos):
         assert info.misses > MEMO_ENTRIES  # the bound was actually reached
         assert info.currsize <= MEMO_ENTRIES
 
-    # the per-case memos key by (initial state, cap): more caps give more
-    # distinct keys than either holds, and each keeps the newest MEMO_ENTRIES
-    # of its own.  Every surrogate runs to the cap, so the trajectory memo
-    # holds only the runs of caps up to DEFAULT_CAP
+    # the run memo keys by (initial state, cap) and holds only caps up to
+    # DEFAULT_CAP: more caps give more distinct keys than it holds, and it
+    # keeps the newest MEMO_ENTRIES.  The streams left are exactly those of
+    # the runs it holds
     keys = [_key(c.initial_state(), 120) for c in cases]
     for cap in (60, 30, 20, 10):
         score_benchmark(get_ranker("r100"), cases, HarnessConfig(cap=cap))
@@ -428,7 +424,9 @@ def test_memos_stay_within_their_bound(cold_memos):
     assert len(set(keys)) == len(keys)
     run_keys = [k for k in keys if k[-1] <= DEFAULT_CAP]
     assert len(run_keys) > MEMO_ENTRIES
-    assert list(harness._streams) == keys[-MEMO_ENTRIES:]
-    assert list(simulator._trajectories) == run_keys[-MEMO_ENTRIES:]
-    assert _entries_fit_the_default_cap()
-    assert _held_runs_fit_the_default_cap()
+    before = simulator._held_run.cache_info()
+    assert before.misses == len(run_keys) and before.currsize == MEMO_ENTRIES
+    held = [run_trajectory(*k) for k in run_keys[-MEMO_ENTRIES:]]
+    assert simulator._held_run.cache_info().misses == before.misses
+    assert set(harness._streams) == set(held) and len(harness._streams) == MEMO_ENTRIES
+    assert _streams_match_their_runs()
