@@ -24,7 +24,7 @@ from blowup_lab.benchmarks import (
     save_manifest,
 )
 from blowup_lab.core import ParseError, State, VariableSet, parse_polynomial
-from blowup_lab.features import FEATURE_NAMES
+from blowup_lab.features import FEATURE_NAMES, extract_features
 from blowup_lab.harness import (
     DEFAULT_CAP,
     DEFAULT_WINDOW,
@@ -149,6 +149,16 @@ def _cmd_export(args) -> int:
 
 def _cmd_validate(args) -> int:
     cases = load_manifest(args.path)
+    # run starts each case by extracting its initial state's features, so a
+    # case they overflow on is refused here; later steps can still grow
+    # exponents, so this does not promise that run never fails
+    for case in cases:
+        try:
+            extract_features(case.initial_state())
+        except (ArithmeticError, ValueError) as exc:
+            raise ManifestError(
+                f"case {case.name!r}: initial-state features: {type(exc).__name__}: {exc}"
+            ) from exc
     print(f"{args.path}: {len(cases)} cases OK")
     return EXIT_OK
 
@@ -219,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out", required=True)
     export.set_defaults(func=_cmd_export)
 
-    validate = sub.add_parser("validate-manifest", help="parse and validate a manifest file")
+    validate = sub.add_parser(
+        "validate-manifest", help="parse a manifest and extract each case's initial features"
+    )
     validate.add_argument("path")
     validate.set_defaults(func=_cmd_validate)
 

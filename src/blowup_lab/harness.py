@@ -241,13 +241,20 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
     return first == second
 
 
-#: Each run's prefix feature vectors packed as native doubles, by Trajectory
-#: object: an entry lives exactly as long as its run.
+#: Each run's prefix by Trajectory object, as (its feature vectors packed as
+#: native doubles, the first 25 doubles of each vector as bytes, {index of a
+#: state: index of the first state with the same vector}): an entry lives
+#: exactly as long as its run.  The heads are rank-table keys, held with the
+#: run so that each is built and hashed once.
 _streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _VECTOR = struct.Struct(f"{NUM_FEATURES}d")
+_HEAD = struct.calcsize(f"{NUM_FEATURES - 1}d")
+_UNRANKED = object()
 
 
-def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
+def simulate_case(
+    initial: State, ranker: Callable, cfg: HarnessConfig, table: Optional[dict] = None
+):
     """Run a trajectory and evaluate features and ranks along it.
 
     Ranker crashes are recorded as None ranks, which the audit treats as
@@ -257,15 +264,24 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     raised by the exceptional exponent per step.  A run's prefix is extracted
     once and kept as long as the run, so at a cap up to DEFAULT_CAP, where
     run_trajectory hands back one run per case, a case is extracted once per
-    process.  run_trajectory is called, and every state ranked, on every call.
+    process.  run_trajectory is called on every call.
+
+    Every state gets a rank, but the ranker, which must be pure, is called
+    once per bit-distinct vector.  ``table`` is the rank table score_benchmark
+    shares among the cases of a call: it maps the first 25 doubles, as bytes,
+    to a dict from f25 to the rank (None for a crash).  f25 is the float of a
+    non-negative int, never -0.0 or NaN, so equal f25 keys are equal bits.  A
+    tail shares its entry vector's head, so each tail state costs one f25
+    lookup.  Without a table, as for a call of one case, the run's own
+    repeats are copied from their first state, which costs no lookup on the
+    other states.
     """
     trajectory = run_trajectory(initial, cfg.cap)
-    packed = _streams.get(trajectory)
-    if packed is None:
+    held = _streams.get(trajectory)
+    if held is None:
         feature_stream = [extract_features(s) for s in trajectory.prefix]
-        _streams[trajectory] = b"".join([_VECTOR.pack(*fv) for fv in feature_stream])
     else:
-        feature_stream = list(_VECTOR.iter_unpack(packed))
+        feature_stream = list(_VECTOR.iter_unpack(held[0]))
     if trajectory.tail_len:
         entry = feature_stream[-1][:25]
         mass = trajectory.prefix[-1].boundary.mass
@@ -273,13 +289,50 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
         feature_stream += [
             entry + (float(mass + j * exc),) for j in range(1, trajectory.tail_len + 1)
         ]
+    if held is None:
+        held = _streams[trajectory] = _held_prefix(feature_stream, len(trajectory.prefix))
+    _, heads, repeats = held
     rank_stream = []
-    for fv in feature_stream:
-        try:
-            rank_stream.append(ranker(fv))
-        except Exception:
-            rank_stream.append(None)
+    if table is None:
+        for i, fv in enumerate(feature_stream):
+            if i in repeats:
+                rank_stream.append(rank_stream[repeats[i]])
+                continue
+            try:
+                rank_stream.append(ranker(fv))
+            except Exception:
+                rank_stream.append(None)
+        return trajectory, feature_stream, rank_stream
+    # the inner rank dict of each state: one per head, so a tail shares its
+    # entry vector's; `or` takes an empty dict another thread just added
+    rank_dicts = [table.get(head) or table.setdefault(head, {}) for head in heads]
+    rank_dicts += rank_dicts[-1:] * trajectory.tail_len
+    for ranks, fv in zip(rank_dicts, feature_stream):
+        rank = ranks.get(fv[25], _UNRANKED)
+        if rank is _UNRANKED:
+            try:
+                rank = ranker(fv)
+            except Exception:
+                rank = None
+            ranks[fv[25]] = rank
+        rank_stream.append(rank)
     return trajectory, feature_stream, rank_stream
+
+
+def _held_prefix(feature_stream: list, prefix_len: int) -> tuple:
+    packed = [_VECTOR.pack(*fv) for fv in feature_stream[:prefix_len]]
+    heads = tuple([v[:_HEAD] for v in packed])
+    # every tail vector has the last head, so the vectors of that head are
+    # told apart by f25 (float() can round two tail masses to one), and the
+    # other prefix vectors by their bytes
+    first: dict = {}
+    repeats = {}
+    for i, fv in enumerate(feature_stream):
+        key = packed[i] if i < prefix_len and heads[i] != heads[-1] else fv[25]
+        j = first.setdefault(key, i)
+        if j != i:
+            repeats[i] = j
+    return b"".join(packed), heads, repeats
 
 
 @dataclass(frozen=True)
@@ -321,9 +374,11 @@ class SuiteReport:
         }
 
 
-def _score_one(case, ranker: Callable, cfg: HarnessConfig) -> ViolationReport:
+def _score_one(
+    case, ranker: Callable, cfg: HarnessConfig, table: Optional[dict]
+) -> ViolationReport:
     initial = case.initial_state()
-    _, feature_stream, rank_stream = simulate_case(initial, ranker, cfg)
+    _, feature_stream, rank_stream = simulate_case(initial, ranker, cfg, table)
     report = audit_trajectory(rank_stream, feature_stream, cfg, name=case.name).report
     # purity gate: a ranker that fails the determinism probe is structurally
     # broken even if each single evaluation looks fine
@@ -349,15 +404,20 @@ def score_benchmark(
 
     Cases are independent; with workers > 1 they are evaluated concurrently
     and reassembled in suite order, so the report is deterministic either
-    way.
+    way.  The cases share one rank table, dropped on return, so the ranker
+    is called once per bit-distinct feature vector of the call (a race
+    between threads may call it twice), plus the purity probe's two calls
+    per case.  A call of one case takes no table: its run holds its own
+    repeats.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")
+    table = {} if len(cases) > 1 else None
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda c: _score_one(c, ranker, cfg), cases))
+            reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
     else:
-        reports = [_score_one(case, ranker, cfg) for case in cases]
+        reports = [_score_one(case, ranker, cfg, table) for case in cases]
 
     total = sum(r.total_violations for r in reports)
     staged = 0.0

@@ -18,6 +18,13 @@ one of them inside the negated cubic depth charge.
 Every ranker is a pure function: identical feature vectors give bit-identical
 outputs.  The first component is 0 exactly on monomial-phase inputs and
 strictly positive otherwise.
+
+Purity is the contract that lets the harness rank less often than it audits.
+Within one ``score_benchmark`` call it calls a ranker once per bit-distinct
+feature vector, and every state with that vector gets the same rank object;
+only the purity probe calls it directly, twice per case.  A ranker that is
+not pure is thus called fewer times than there are states, and a rank should
+be a sequence that can be read more than once.
 """
 
 from __future__ import annotations

@@ -222,6 +222,31 @@ def test_validate_manifest_error_exit_code(capsys, tmp_path):
     assert "bad" in err
 
 
+def test_validate_manifest_refuses_what_run_cannot_score(capsys, tmp_path):
+    # x^(10^320) parses, but the initial state's features overflow a float:
+    # validate-manifest names the case and the exception class on one line
+    # and exits 3, where it used to pass the manifest that run then fails on
+    def manifest(exponent):
+        path = tmp_path / "manifest.json"
+        entry = {"name": "huge", "p": 3, "dim": 4, "vars": ["x", "y", "w", "z"],
+                 "poly": f"z^3 + x^{exponent}"}
+        path.write_text(json.dumps([entry]), encoding="utf-8")
+        return str(path)
+
+    code, out, err = _run(capsys, "validate-manifest", manifest(10**320))
+    assert code == 3 and out == ""
+    assert err == (
+        "manifest error: case 'huge': initial-state features: OverflowError: "
+        "int too large to convert to float\n"
+    )
+
+    # a large exponent whose features are finite still validates and scores
+    code, out, _ = _run(capsys, "validate-manifest", manifest(10**100))
+    assert code == 0 and out.endswith(": 1 cases OK\n")
+    code, out, _ = _run(capsys, "run", "--ranker", "disc_lex", "--suite", manifest(10**100))
+    assert code in (0, 1) and json.loads(out)["totals"]["cases"] == 1
+
+
 def test_search_subcommand(capsys, tmp_path):
     weights_out = tmp_path / "weights.json"
     history_out = tmp_path / "history.csv"

@@ -8,12 +8,15 @@ step, where ``run_trajectory`` stops at a fixed-ideal V(z) tail and
 ``simulate_case`` derives the tail's features by arithmetic.  The run memo
 ``simulator._held_run`` is compared cold and warm against its plain loop,
 ``simulator._stepped``, and the harness's feature streams, which live as long
-as their runs, against plain per-state ``extract_features``.
+as their runs, against plain per-state ``extract_features``.  The rank table of
+one scoring is compared with a plain loop that calls the ranker on every state.
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import struct
 import sys
 from unittest.mock import patch
 
@@ -117,7 +120,10 @@ def test_step_memo_matches_uncached_chart(state, cap):
 
 
 def _rank_hex(rank):
-    return None if rank is None else [v.hex() if isinstance(v, float) else v for v in rank]
+    # float.hex keeps the sign of zero; the type tells 1 from 1.0 and True
+    if rank is None:
+        return None
+    return [(type(v).__name__, v.hex() if isinstance(v, float) else v) for v in rank]
 
 
 _VARS4 = VariableSet.standard(4, 3)
@@ -186,9 +192,13 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
 
 
 def _streams_match_their_runs():
+    # one packed vector and one rank-table head per prefix state; each head is
+    # its vector's first 25 doubles
+    size = harness._VECTOR.size
     return all(
-        len(packed) == len(run.prefix) * harness._VECTOR.size
-        for run, packed in harness._streams.items()
+        len(packed) == len(run.prefix) * size
+        and list(heads) == [packed[i : i + harness._HEAD] for i in range(0, len(packed), size)]
+        for run, (packed, heads, _) in harness._streams.items()
     )
 
 
@@ -262,7 +272,8 @@ def test_cold_memos_clears_every_memo(request):
 
 
 def _held_vectors():
-    return sum(map(len, harness._streams.values())) // harness._VECTOR.size
+    assert _streams_match_their_runs()
+    return sum(len(heads) for _, heads, _ in harness._streams.values())
 
 
 def test_returned_streams_are_the_callers_own(cold_memos):
@@ -430,3 +441,143 @@ def test_memos_stay_within_their_bound(cold_memos):
     assert simulator._held_run.cache_info().misses == before.misses
     assert set(harness._streams) == set(held) and len(harness._streams) == MEMO_ENTRIES
     assert _streams_match_their_runs()
+
+
+# The rank table: a scoring calls the ranker once per bit-distinct feature
+# vector, and every state still gets the rank the plain loop gives it.
+
+_FIXED_TAIL_IDEAL = parse_polynomial("z^3 + x^6 + w^6", _VARS4)
+_BUILTIN_STATES = [c.initial_state() for c in broad24() + focused71() + extended100()]
+_SURROGATE_STATES = [c.initial_state() for c in generate_broad_surrogates(3, 40)]
+
+
+def _signed_zero_features(state):
+    # keeps what the audit and the tail read (f0, f9, f14 and f25) and sets
+    # the other 22 features to a zero signed by the parity of the first base
+    # multiplicity, so that many vectors differ only in the sign of zero.  A
+    # V(z) tail keeps every base multiplicity at 0, so the tail is still its
+    # entry vector with f25 moved
+    zero = -0.0 if state.boundary.multiplicities[0] % 2 else 0.0
+    return tuple(v if i in (0, 9, 14, 25) else zero for i, v in enumerate(extract_features(state)))
+
+
+def _reads_zero_signs(fv):
+    return tuple(math.copysign(1.0, v) for v in fv[1:25]) + (fv[0], fv[25])
+
+
+def _raises_on_some(fv):
+    if int(fv[25]) % 3 == 1:
+        raise ArithmeticError("f25 is 1 mod 3")
+    return (fv[0], fv[25], 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    initials=st.lists(
+        st.one_of(
+            st.sampled_from(_BUILTIN_STATES), st.sampled_from(_SURROGATE_STATES), _states()
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    cap=st.sampled_from((0, 1, 30, 120)),
+    kind=st.sampled_from(("zero_signs", "counted", "raises")),
+    signed=st.booleans(),
+)
+# past 2**53, float() rounds tail masses that differ by exc to one f25: from
+# this state, the 7 prefix vectors are distinct and the 31 vectors at cap 30
+# only 25
+@example(
+    initials=[State(_FIXED_TAIL_IDEAL, Boundary((0, 0, 0, 2**54)), _VARS4)],
+    cap=30,
+    kind="counted",
+    signed=False,
+)
+def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
+    calls = []
+    rank_fn = {"zero_signs": _reads_zero_signs, "raises": _raises_on_some}.get(kind)
+
+    def ranker(fv):
+        calls.append(fv)
+        if rank_fn is None:
+            return (fv[0], fv[14], fv[25])
+        return rank_fn(fv)
+
+    extract = _signed_zero_features if signed else extract_features
+    plain_features = []
+    plain_ranks = []
+    for state in initials:
+        fvs = [extract(s) for s in simulator._stepped(state, cap).states]
+        plain_features.append(fvs)
+        ranks = []
+        for fv in fvs:
+            try:
+                ranks.append(ranker(fv))
+            except ArithmeticError:
+                ranks.append(None)
+        plain_ranks.append([_rank_hex(r) for r in ranks])
+
+    def distinct(streams):
+        return len({struct.pack("26d", *fv) for fvs in streams for fv in fvs})
+
+    def check(state, fvs, ranks, table):
+        _, feature_stream, rank_stream = simulate_case(state, ranker, cfg, table)
+        assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in fvs]
+        assert [_rank_hex(r) for r in rank_stream] == ranks
+
+    cfg = HarnessConfig(cap=cap)
+    cases = list(zip(initials, plain_features, plain_ranks))
+    harness._streams.clear()
+    try:
+        with patch.object(harness, "extract_features", extract):
+            # one table shared by every case, as score_benchmark shares it
+            for _ in ("cold", "warm"):
+                calls.clear()
+                table = {}
+                for case in cases:
+                    check(*case, table)
+                assert len(calls) == distinct(plain_features)
+            # no table, as for a call of one case
+            for case in cases:
+                calls.clear()
+                check(*case, None)
+                assert len(calls) == distinct([case[1]])
+    finally:
+        # no stream of the altered features outlives the test
+        harness._streams.clear()
+
+
+_SUITES = {
+    "focused71": focused71,
+    "extended100": extended100,
+    "broad24": broad24,
+    "surrogates": lambda: generate_broad_surrogates(1, 200),
+}
+
+
+@pytest.mark.parametrize(
+    "suite, cap, distinct",
+    [
+        ("focused71", 30, 211),
+        ("extended100", 30, 404),
+        ("broad24", 30, 270),
+        ("broad24", 120, 900),
+        ("surrogates", 120, 2478),
+    ],
+)
+def test_each_scoring_ranks_each_bit_distinct_vector_once(suite, cap, distinct):
+    # focused71 ranks 2,141 states at cap 30 and the surrogates 24,200 at cap
+    # 120; the purity probe adds its two direct calls per case
+    cases = _SUITES[suite]()
+    rank_fn = get_ranker("disc_lex")
+    calls = []
+
+    def counted(fv):
+        calls.append(fv)
+        return rank_fn(fv)
+
+    cfg = HarnessConfig(cap=cap)
+    report = score_benchmark(counted, cases, cfg, ranker_name="disc_lex")
+    assert not any(r.structural_failure for r in report.reports)
+    assert len(calls) - 2 * len(cases) == distinct
+    assert report == score_benchmark(rank_fn, cases, cfg)
