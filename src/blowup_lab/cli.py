@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,6 +52,21 @@ def _fmt(value) -> str:
     return format(value, ".17g")
 
 
+@contextmanager
+def _writing(path: str):
+    # an output path that cannot be written is a bad argument, not an
+    # unsolved case
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    with _writing(path):
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def _resolve_suite(name: str):
     if name in builtin_suites():
         return name, get_suite(name)
@@ -69,7 +85,7 @@ def _cmd_run(args) -> int:
     )
     payload = json.dumps(report.to_json_dict(), indent=2)
     if args.json:
-        Path(args.json).write_text(payload + "\n", encoding="utf-8")
+        _write_text(args.json, payload + "\n")
         print(
             f"{suite_name} / {args.ranker}: solved {report.solved_count}/{len(report.reports)}, "
             f"violations {_fmt(report.total_violations)}, max plateau {report.max_plateau}"
@@ -120,7 +136,7 @@ def _cmd_trace(args) -> int:
         writer.writerow(row)
     text = buffer.getvalue()
     if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
+        _write_text(args.csv, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -142,7 +158,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     cases = get_suite(args.suite)
-    save_manifest(cases, args.out)
+    with _writing(args.out):
+        save_manifest(cases, args.out)
     print(f"wrote {len(cases)} cases to {args.out}")
     return EXIT_OK
 
@@ -183,7 +200,7 @@ def _cmd_search(args) -> int:
     }
     payload = json.dumps(result, indent=2)
     if args.weights_out:
-        Path(args.weights_out).write_text(payload + "\n", encoding="utf-8")
+        _write_text(args.weights_out, payload + "\n")
     print(payload)
     if args.history_out:
         buffer = io.StringIO()
@@ -191,7 +208,7 @@ def _cmd_search(args) -> int:
         writer.writerow(["evaluation", "score"])
         for index, score in history:
             writer.writerow([str(index), _fmt(score)])
-        Path(args.history_out).write_text(buffer.getvalue(), encoding="utf-8")
+        _write_text(args.history_out, buffer.getvalue())
     return EXIT_OK
 
 

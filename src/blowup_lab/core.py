@@ -109,6 +109,21 @@ class TaggedMonomial:
             raise ValueError(f"exponents must be natural numbers: {self.exponents}")
         if not any(self.exponents):
             raise ValueError(f"a monomial needs a variable: {self.exponents}")
+        # every per-monomial memo lookup hashes the monomial: derive the hash
+        # once.  An int hashes to its value mod 2**61 - 1, so an exponent that
+        # doubles at every step (a V(z) chart takes e_z - exc to twice that)
+        # repeats its hash every 61 steps; the bit length of the largest
+        # exponent tells those apart
+        top = max(self.exponents).bit_length()
+        object.__setattr__(self, "_hash", hash((self.tag, self.exponents, top)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes differ between processes, so
+        # the cached hash must not travel in a pickle
+        return (TaggedMonomial, (self.tag, self.exponents))
 
     @property
     def total_degree(self) -> int:

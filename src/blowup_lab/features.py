@@ -13,14 +13,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from blowup_lab.core import MIXED, OBLIQUE, IdealSpec, State, VariableSet
-from blowup_lab.simulator import (
-    MEMO_ENTRIES,
-    exceptional_exponent,
-    is_monic_z_power,
-    is_monomial_phase,
-    monic_z_orders,
-)
+from blowup_lab.core import MIXED, OBLIQUE, IdealSpec, State, TaggedMonomial, VariableSet
+from blowup_lab.simulator import MEMO_ENTRIES, MONOMIAL_MEMO_ENTRIES, is_monic_z_power
 
 #: Column names for trace export, indexed 0..25.
 FEATURE_NAMES = (
@@ -74,30 +68,38 @@ def _nu_p(n: int, p: int) -> int:
     return v
 
 
-def _weighted_order_terms(
-    ideal: IdealSpec, exc: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(base exponents, divisor) of each monomial the weighted order (f14) ranges over.
+@lru_cache(maxsize=MONOMIAL_MEMO_ENTRIES)
+def _monomial_facts(m: TaggedMonomial, p: int) -> tuple:
+    """What the ideal features read off one monomial in characteristic p.
 
-    f14 is a boundary-aware weighted-order proxy.  Over every monomial except
-    the first pure z-power of exponent equal to the exceptional exponent exc,
-    residualize base exponents against the boundary and record
-    |residual| / e_z (or / exc when z-free); f14 is the minimum, or 0 when no
-    monomial qualifies.  Excluding the monic z-power is essential: otherwise
-    the minimum is trivially 0 on monic inputs.
+    (degree, e_z, base exponents, support mask, mask of the exponents not
+    divisible by p, monic z-order or 0, f5 and f18 contributions, pure-base
+    exponent or 0, Jacobian pair count, minimal p-adic valuation over the
+    support), where bit i of a mask stands for variable i.  The minimal
+    valuation is that of the gcd of the exponents.
     """
-    skip = next(
-        (
-            idx
-            for idx, m in enumerate(ideal)
-            if m.exponents[-1] == exc and is_monic_z_power(m)
-        ),
-        None,
-    )
-    return tuple(
-        (m.exponents[:-1], m.exponents[-1] or exc)
-        for idx, m in enumerate(ideal)
-        if idx != skip
+    e = m.exponents
+    d = sum(e)
+    support = notdiv = 0
+    for i, v in enumerate(e):
+        if v:
+            support |= 1 << i
+            if v % p:
+                notdiv |= 1 << i
+    ez = e[-1]
+    shade = m.tag in _SHADE_TAGS and d >= p
+    return (
+        d,
+        ez,
+        e[:-1],
+        support,
+        notdiv,
+        ez if is_monic_z_power(m) else 0,
+        1 if shade and d < 2 * p else 0,
+        1 if shade and notdiv else 0,
+        d if not ez and not support & (support - 1) else 0,
+        notdiv.bit_count(),
+        _nu_p(math.gcd(*e), p),
     )
 
 
@@ -136,7 +138,9 @@ def extract_features(state: State) -> tuple[float, ...]:
     The empty ideal yields the all-zero vector with the monomial-phase flag
     set.  Everything but f4, f8, f14 and f25 reads the ideal alone and comes
     from a process-wide memo of MEMO_ENTRIES distinct ideals, keyed by
-    (ideal, vars); those four are integer arithmetic on the boundary.
+    (ideal, vars), whose entries aggregate the facts of each distinct
+    monomial, held in a memo of MONOMIAL_MEMO_ENTRIES (monomial, p) keys;
+    those four are integer arithmetic on the boundary.
     """
     if not state.ideal:
         return _EMPTY_IDEAL_FEATURES
@@ -155,78 +159,91 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     """The boundary-free part of extract_features on a nonempty ideal.
 
     Returns the 26 entries with f4, f8, f14 and f25 left at 0.0, the base
-    exponents of the minimal-degree monomials (for f8), and the terms of
-    _weighted_order_terms (for f14).
+    exponents of the monomials of degree exc (for f8), and the (base
+    exponents, divisor) terms f14 ranges over.  f14 is a boundary-aware
+    weighted-order proxy: over every monomial except the first pure z-power
+    of exponent exc, residualize the base exponents against the boundary and
+    record |residual| / e_z (or / exc when z-free); f14 is the minimum, or 0
+    when no monomial qualifies.  Excluding the monic z-power is essential:
+    otherwise the minimum is trivially 0 on monic inputs.
+
+    Each monomial's facts come from _monomial_facts.  One pass over them
+    gathers the ideal-wide counts, masks and minima, and the minimal-degree
+    z-free monomials (f1, f15, f19, f20); a short second pass, once exc is
+    known, gathers the monomials of degree exc (f2, f3, f10, f24, f8) and the
+    f14 terms.  The float conversions run in a fixed order (f7, f11, then f0
+    to f24), so an out-of-range input always raises the same OverflowError.
     """
     p = vars.char_p
-    z = vars.elim_index
-    base_idx = vars.base_indices
-    monomials = ideal.monomials
+    facts = [_monomial_facts(m, p) for m in ideal.monomials]
 
-    exps = [m.exponents for m in monomials]
-    degrees = [sum(e) for e in exps]
-    exc = exceptional_exponent(ideal)
-    m_min = [e for e, d in zip(exps, degrees) if d == exc]
-    base = [(e, d) for e, d in zip(exps, degrees) if e[z] == 0]
+    low = monic = f1 = f16 = jac_low = math.inf
+    support = notdiv = base_support = 0
+    f5 = f13 = f18 = f20 = f23 = 0
+    for d, ez, _, sup, nd, mz, s5, s18, pb, jac, _ in facts:
+        support |= sup
+        notdiv |= nd
+        f5 += s5
+        f18 += s18
+        f23 += jac
+        if pb > f13:
+            f13 = pb
+        if jac and d < jac_low:
+            jac_low = d
+        if d < low:
+            low = d
+        if ez:
+            if mz and mz < monic:
+                monic = mz
+            if ez < f16:
+                f16 = ez
+        elif d < f1:
+            f1, f20, base_support = d, 1, sup
+        elif d == f1:
+            f20 += 1
+            base_support |= sup
+    # exc is the minimal pure z-order when a pure z-power exists
+    has_monic = monic != math.inf
+    f0 = exc = monic if has_monic else low
+    if f1 == math.inf:
+        f1 = 0
 
-    f0 = exc
-    f1 = min(d for _, d in base) if base else 0
-    base_min = [e for e, d in base if d == f1] if base else []
+    f3 = touched = min_notdiv = 0
+    f24 = math.inf
+    min_base = []
+    terms = []
+    skipped = False
+    for d, ez, base, sup, nd, mz, _, _, _, _, nu in facts:
+        if d == exc:
+            f3 += 1
+            touched |= sup
+            min_notdiv |= nd
+            if nu < f24:
+                f24 = nu
+            min_base.append(base)
+            if mz == exc and not skipped:
+                skipped = True
+                continue
+        terms.append((base, ez or exc))
 
-    touched = {i for e in m_min for i in range(vars.dim) if e[i] > 0}
-    f2 = vars.dim - len(touched)
-    f3 = len(m_min)
-    f5 = sum(
-        1
-        for m, d in zip(monomials, degrees)
-        if m.tag in _SHADE_TAGS and p <= d < 2 * p
-    )
-    f6 = 1 if all(e[i] % p == 0 for e in exps for i in range(vars.dim)) else 0
-
-    # exc equals the minimal pure z-order exactly when a pure z-power exists
-    if monic_z_orders(ideal):
+    f2 = vars.dim - touched.bit_count()
+    f6 = 0 if notdiv else 1
+    if has_monic:
         f7 = f0 / f1 if f1 > 0 else float(f0)
     else:
         f7 = 0.0
-
-    f9 = 1 if is_monomial_phase(ideal) else 0
-    f10 = 1 if all(e[i] % p == 0 for e in m_min for i in range(vars.dim)) else 0
+    f9 = 1 if f16 == math.inf else 0
+    f10 = 0 if min_notdiv else 1
     f11 = float(f0) if f1 == 0 else 1.0 / (1.0 + abs(f0 - f1))
-
-    f12 = 0
-    for i in range(vars.dim):
-        if any(e[i] > 0 for e in exps) and all(e[i] % p == 0 for e in exps):
-            f12 += 1
-
-    pure_base_exps = [
-        e[i]
-        for e in exps
-        for i in base_idx
-        if e[i] > 0 and e[z] == 0 and sum(1 for v in e if v > 0) == 1
-    ]
-    f13 = max(pure_base_exps) if pure_base_exps else 0
-
-    f15 = sum(1 for j in base_idx if all(e[j] == 0 for e in base_min))
-    z_orders = [e[z] for e in exps if e[z] > 0]
-    f16 = min(z_orders) if z_orders else 0
-    f17 = sum(1 for i in range(vars.dim) if any(e[i] > 0 for e in exps))
-    f18 = sum(
-        1
-        for m, d in zip(monomials, degrees)
-        if m.tag in _SHADE_TAGS and d >= p and any(v % p != 0 for v in m.exponents)
-    )
-
-    touched_base = {i for e in base_min for i in base_idx if e[i] > 0}
-    f19 = len(base_idx) - len(touched_base)
-    f20 = len(base_min)
+    f12 = (support & ~notdiv).bit_count()
+    # f15 and f19 both count the base variables no minimal-degree z-free
+    # monomial touches
+    f15 = f19 = vars.dim - 1 - base_support.bit_count()
+    if f16 == math.inf:
+        f16 = 0
+    f17 = support.bit_count()
     f21 = hilbert_samuel_base(State.initial(ideal, vars))
-
-    jac_orders = [
-        sum(e) - 1 for e in exps for i in range(vars.dim) if e[i] > 0 and e[i] % p != 0
-    ]
-    f22 = min(jac_orders) if jac_orders else JACOBIAN_SENTINEL
-    f23 = len(jac_orders)
-    f24 = min(_nu_p(e[i], p) for e in m_min for i in range(vars.dim) if e[i] > 0)
+    f22 = jac_low - 1 if jac_low != math.inf else JACOBIAN_SENTINEL
 
     values = (
         float(f0),
@@ -256,5 +273,4 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
         float(f24),
         0.0,
     )
-    min_base = tuple(e[:-1] for e in m_min)
-    return values, min_base, _weighted_order_terms(ideal, exc)
+    return values, tuple(min_base), tuple(terms)

@@ -25,6 +25,11 @@ DEFAULT_CAP = 30
 #: distinct ideals in extended100), so each is computed once across rankers.
 MEMO_ENTRIES = 512
 
+#: Entries kept by each per-monomial lru_cache: monomial rewrites and monomial
+#: feature facts.  The ideals of a run share a few monomials (focused71 has 64
+#: distinct ones at cap 30), so each is worked out once, not per ideal.
+MONOMIAL_MEMO_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class Center:
@@ -138,21 +143,30 @@ def step(state: State) -> tuple[State, Center, int]:
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]:
     # the part of step() that reads only the ideal: (rewritten ideal, center,
-    # exceptional exponent); a fixed-ideal tail maps its ideal to one shared
-    # IdealSpec object
+    # exceptional exponent), each monomial's image taken from _rewrite; a
+    # fixed-ideal tail maps its ideal to one shared IdealSpec object
     exc = exceptional_exponent(ideal)
     center = select_center(State.initial(ideal, vars))
     v = center.var_index
+    images = [_rewrite(m, v, exc) for m in ideal]
+    return IdealSpec(tuple(m for m in images if m is not None)), center, exc
 
-    transformed = []
-    for m in ideal:
-        e = list(m.exponents)
-        if e[-1] > 0:
-            e[v] += e[-1]
-        e[v] = max(0, e[v] - exc)
-        if any(e):
-            transformed.append(TaggedMonomial(tag=m.tag, exponents=tuple(e)))
-    return IdealSpec(tuple(transformed)), center, exc
+
+@lru_cache(maxsize=MONOMIAL_MEMO_ENTRIES)
+def _rewrite(m: TaggedMonomial, v: int, exc: int) -> Optional[TaggedMonomial]:
+    """m in the chart of variable v with exc divided out, as step() rewrites it.
+
+    None when every exponent drops to 0, and m itself when its exponents do
+    not move; only the chart exponent can change.
+    """
+    e = m.exponents
+    ev = max(0, e[v] + e[-1] - exc)
+    if ev == e[v]:
+        return m
+    image = e[:v] + (ev,) + e[v + 1 :]
+    if not any(image):
+        return None
+    return TaggedMonomial(tag=m.tag, exponents=image)
 
 
 def is_monomial_phase(ideal: IdealSpec) -> bool:

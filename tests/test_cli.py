@@ -262,3 +262,24 @@ def test_search_subcommand(capsys, tmp_path):
     rows = list(csv.DictReader(io.StringIO(history_out.read_text(encoding="utf-8"))))
     assert rows[0]["evaluation"] == "0"
     assert rows[0]["score"] == "142"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--ranker", "disc_lex", "--suite", "focused71", "--json"),
+        ("trace", "--ranker", "disc_lex", "--poly", "z^3 + x^6 + w^6", "--csv"),
+        ("search", "--suite", "broad24", "--budget", "1", "--seed", "1", "--history-out"),
+        ("search", "--suite", "broad24", "--budget", "1", "--seed", "1", "--weights-out"),
+        ("export-suite", "--suite", "broad24", "--out"),
+    ],
+    ids=["json", "csv", "history-out", "weights-out", "out"],
+)
+def test_unwritable_output_is_a_bad_argument(capsys, tmp_path, argv):
+    # an output path in a missing directory exits 2 with one line, not 1
+    # (unsolved) with a traceback
+    path = tmp_path / "missing" / "out"
+    code, _, err = _run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()

@@ -212,9 +212,9 @@ def test_ideal_spec_hash_follows_value(vars4):
 
 _UNPICKLE_AND_HASH = """
 import pickle, sys
-from blowup_lab.core import IdealSpec
+from blowup_lab.core import IdealSpec, TaggedMonomial
 spec = pickle.loads(sys.stdin.buffer.read())
-fresh = IdealSpec(tuple(spec.monomials))
+fresh = IdealSpec(tuple(TaggedMonomial(m.tag, m.exponents) for m in spec.monomials))
 print(hash("pure-z"), hash(spec) == hash(fresh), {fresh: 1}.get(spec))
 """
 
@@ -242,6 +242,17 @@ def test_ideal_spec_hash_is_rederived_after_pickling(vars4):
     assert int(child_tag_hash) != hash("pure-z")  # the child hashes strings differently
     assert same_hash == "True"
     assert lookup == "1"
+
+
+def test_monomial_hash_tells_doubling_exponents_apart():
+    # an int hashes to its value mod 2**61 - 1, so 2**k + 1 repeats its hash
+    # every 61 steps of k; a memo of such monomials would compare every key
+    # that shares a hash on each lookup
+    monomials = [TaggedMonomial(PURE_Z, (1, 2**k + 1)) for k in range(1000)]
+    assert len({hash((m.tag, m.exponents)) for m in monomials}) == 61
+    assert len({hash(m) for m in monomials}) == 1000
+    assert monomials[500] == TaggedMonomial(PURE_Z, (1, 2**500 + 1))
+    assert hash(monomials[500]) == hash(TaggedMonomial(PURE_Z, (1, 2**500 + 1)))
 
 
 def test_state_checks_monomial_lengths(vars4):

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
+import time
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_lab import features
 from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
+from blowup_lab.cli import main
 from blowup_lab.core import (
     Boundary,
     IdealSpec,
@@ -27,6 +32,7 @@ from blowup_lab.features import (
     hilbert_samuel_base,
 )
 from blowup_lab.simulator import run_trajectory
+from oracles import plain_ideal_features
 
 
 def _state(text, vars4, boundary=None):
@@ -335,3 +341,52 @@ def test_newton_slope_convention(vars4):
     assert extract_features(_state("z^3", vars4))[7] == 3.0
     # no pure z-power at all
     assert extract_features(_state("x^7*y^5*w^4", vars4))[7] == 0.0
+
+
+def _named_vars(dim):
+    return VariableSet(tuple(f"x{i}" for i in range(dim - 1)) + ("z",), 3)
+
+
+def _outcome(kernel, ideal, vars):
+    try:
+        kernel(ideal, vars)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "poly, dim",
+    [(f"z^3 + x0^{10**320}", 4), (f"x0^{10**12}", 32), ("z^3 + x0^600", 600)],
+    ids=["huge-base-exponent", "dim-32", "dim-600"],
+)
+def test_out_of_range_features_raise_as_the_plain_kernel(capsys, tmp_path, poly, dim):
+    # each probe overflows a float; the kernel raises the plain kernel's
+    # exception class and message, so run exits 2 and validate-manifest names it
+    vars = _named_vars(dim)
+    ideal = parse_polynomial(poly, vars)
+    want = _outcome(plain_ideal_features, ideal, vars)
+    assert want is not None and want[0] == "OverflowError"
+    assert _outcome(features._ideal_features.__wrapped__, ideal, vars) == want
+
+    path = tmp_path / "probe.json"
+    entry = {"name": "probe", "p": 3, "dim": dim, "vars": list(vars.names), "poly": poly}
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    assert main(["validate-manifest", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"manifest error: case 'probe': initial-state features: {want[0]}: {want[1]}\n"
+    )
+    assert main(["run", "--ranker", "r100", "--suite", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {want[0]}: {want[1]}\n"
+
+
+def test_padic_depth_of_a_huge_exponent_is_cheap(vars4):
+    # x's exponent 3^700 has p-adic valuation 700; the valuation is taken once
+    # per distinct monomial, from cold memos here
+    ideal = parse_polynomial(f"z^3 + x^{3**700}", vars4)
+    features._monomial_facts.cache_clear()
+    features._ideal_features.cache_clear()
+    start = time.perf_counter()
+    got = _outcome(features._ideal_features, ideal, vars4)
+    assert time.perf_counter() - start < 0.25
+    assert got == _outcome(plain_ideal_features, ideal, vars4)

@@ -10,6 +10,10 @@ step, where ``run_trajectory`` stops at a fixed-ideal V(z) tail and
 ``simulator._stepped``, and the harness's feature streams, which live as long
 as their runs, against plain per-state ``extract_features``.  The rank table of
 one scoring is compared with a plain loop that calls the ranker on every state.
+The ideal feature kernel and the chart, which take each monomial's facts and
+image from the per-monomial memos ``features._monomial_facts`` and
+``simulator._rewrite``, are compared with the plain per-feature kernel and
+the plain rewrite in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,14 @@ from blowup_lab.harness import (
     simulate_case,
 )
 from blowup_lab.rankers import get_ranker, ranker_names
-from blowup_lab.simulator import DEFAULT_CAP, MEMO_ENTRIES, is_monomial_phase, run_trajectory
+from blowup_lab.simulator import (
+    DEFAULT_CAP,
+    MEMO_ENTRIES,
+    MONOMIAL_MEMO_ENTRIES,
+    is_monomial_phase,
+    run_trajectory,
+)
+from oracles import plain_chart, plain_ideal_features
 
 _TAGS = (PURE_Z, PURE_BASE, MIXED, OBLIQUE, "custom")
 
@@ -254,6 +265,8 @@ def cold_memos():
     as its run, so clearing the run memo drops the streams."""
     simulator._chart.cache_clear()
     features._ideal_features.cache_clear()
+    simulator._rewrite.cache_clear()
+    features._monomial_facts.cache_clear()
     _cold_runs()
 
 
@@ -264,7 +277,13 @@ def _cold_runs():
 
 def test_cold_memos_clears_every_memo(request):
     simulate_case(focused71()[0].initial_state(), get_ranker("r100"), HarnessConfig())
-    memos = (simulator._chart, features._ideal_features, simulator._held_run)
+    memos = (
+        simulator._chart,
+        features._ideal_features,
+        simulator._rewrite,
+        features._monomial_facts,
+        simulator._held_run,
+    )
     assert harness._streams and all(memo.cache_info().currsize for memo in memos)
     request.getfixturevalue("cold_memos")
     assert not harness._streams
@@ -442,6 +461,15 @@ def test_memos_stay_within_their_bound(cold_memos):
     assert set(harness._streams) == set(held) and len(harness._streams) == MEMO_ENTRIES
     assert _streams_match_their_runs()
 
+    # the per-monomial memos: 1,200 surrogates at cap 30 bring 4,319 distinct
+    # monomials, past the bound
+    score_benchmark(get_ranker("r100"), generate_broad_surrogates(1, 1200), HarnessConfig())
+    for memo in (features._monomial_facts, simulator._rewrite):
+        info = memo.cache_info()
+        assert info.maxsize == MONOMIAL_MEMO_ENTRIES
+        assert info.misses > MONOMIAL_MEMO_ENTRIES
+        assert info.currsize <= MONOMIAL_MEMO_ENTRIES
+
 
 # The rank table: a scoring calls the ranker once per bit-distinct feature
 # vector, and every state still gets the rank the plain loop gives it.
@@ -581,3 +609,94 @@ def test_each_scoring_ranks_each_bit_distinct_vector_once(suite, cap, distinct):
     assert not any(r.structural_failure for r in report.reports)
     assert len(calls) - 2 * len(cases) == distinct
     assert report == score_benchmark(rank_fn, cases, cfg)
+
+
+# The per-monomial memos: the ideal feature kernel and the chart aggregate
+# each monomial's facts and image, and give what the plain per-feature kernel
+# and the plain rewrite give.
+
+_PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+@st.composite
+def _ideals(draw):
+    # dims 1-6 with z last; exponents include multiples of p, so that the
+    # divisibility masks and the p-adic depth see more than 0
+    dim = draw(st.integers(1, 6))
+    p = draw(st.sampled_from(_PRIMES))
+    vars = VariableSet(tuple(f"x{i}" for i in range(dim - 1)) + ("z",), p)
+    exponent = st.one_of(
+        st.integers(0, 9), st.integers(1, 3).map(lambda k: k * p), st.just(p * p)
+    )
+    exponents = st.tuples(*[exponent] * dim).filter(any)
+    monomials = []
+    for e in draw(st.lists(exponents, min_size=1, max_size=8)):
+        # mostly the inferred tag, so monic z-powers occur; else any tag, which
+        # puts pure-z tags on mixed support
+        tag = draw(st.sampled_from((infer_tag(e, vars),) * 3 + _TAGS))
+        monomials.append(TaggedMonomial(tag, e))
+    if draw(st.booleans()):
+        monomials.append(draw(st.sampled_from(monomials)))
+    return IdealSpec(tuple(monomials)), vars
+
+
+def _assert_kernels_match_plain(ideal, vars):
+    values, min_base, terms = features._ideal_features.__wrapped__(ideal, vars)
+    plain_values, plain_min_base, plain_terms = plain_ideal_features(ideal, vars)
+    assert _hex(values) == _hex(plain_values)
+    assert min_base == plain_min_base
+    assert terms == plain_terms
+
+    chart, center, exc = simulator._chart.__wrapped__(ideal, vars)
+    plain, plain_center, plain_exc = plain_chart(ideal, vars)
+    assert [(m.tag, m.exponents) for m in chart] == [(m.tag, m.exponents) for m in plain]
+    assert (center, exc) == (plain_center, plain_exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ideal_vars=_ideals(), other_p=st.sampled_from(_PRIMES))
+def test_monomial_memos_match_plain_kernels(ideal_vars, other_p):
+    # the same monomials in another characteristic first, so that a facts key
+    # that missed p would hand back the other characteristic's facts
+    ideal, vars = ideal_vars
+    features._ideal_features.__wrapped__(ideal, VariableSet(vars.names, other_p))
+    _assert_kernels_match_plain(ideal, vars)
+
+
+def test_monomial_memos_match_plain_kernels_on_the_suites():
+    seen = set()
+    for case in _CASES + generate_broad_surrogates(1, 200):
+        for state in run_trajectory(case.initial_state(), 120).prefix:
+            if state.ideal and (state.ideal, state.vars) not in seen:
+                seen.add((state.ideal, state.vars))
+                _assert_kernels_match_plain(state.ideal, state.vars)
+    assert len(seen) > 1500
+
+
+@pytest.mark.parametrize(
+    "suite, cap, facts, rewrites",
+    [
+        ("focused71", 30, 64, 132),
+        ("extended100", 30, 201, 340),
+        ("broad24", 30, 159, 214),
+        ("surrogates", 120, 1376, 2295),
+    ],
+)
+def test_each_monomial_is_worked_out_once_per_cold_scoring(
+    cold_memos, suite, cap, facts, rewrites
+):
+    # facts are keyed by (monomial, p) and images by (monomial, chart variable,
+    # exc); one miss per distinct key that the scoring's ideals and steps hold
+    cases = _SUITES[suite]()
+    score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig(cap=cap))
+    fact_keys = set()
+    rewrite_keys = set()
+    for case in cases:
+        run = run_trajectory(case.initial_state(), cap)
+        for k, state in enumerate(run.prefix):
+            fact_keys.update((m, state.vars.char_p) for m in state.ideal)
+            if k < len(run.prefix) - 1:
+                step = (run.centers[k].var_index, run.excs[k])
+                rewrite_keys.update((m,) + step for m in state.ideal)
+    assert features._monomial_facts.cache_info().misses == len(fact_keys) == facts
+    assert simulator._rewrite.cache_info().misses == len(rewrite_keys) == rewrites
