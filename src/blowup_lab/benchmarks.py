@@ -18,11 +18,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 from blowup_lab.core import (
-    Boundary,
     IdealSpec,
     ParseError,
     State,
@@ -57,7 +56,14 @@ class BenchmarkCase:
         return self.vars.dim
 
     def initial_state(self) -> State:
-        return State(ideal=self.ideal, boundary=Boundary.zero(self.vars), vars=self.vars)
+        """The zero-boundary starting state: built on the first call, and the
+        same immutable object on every later one, so a run-memo lookup hashes
+        it and compares it by identity."""
+        return self._initial
+
+    @cached_property
+    def _initial(self) -> State:
+        return State.initial(self.ideal, self.vars)
 
     def poly_text(self) -> str:
         return render_polynomial(self.ideal, self.vars, annotate_tags=False)

@@ -174,7 +174,7 @@ class Boundary:
     def __post_init__(self) -> None:
         if type(self.multiplicities) is not tuple:  # a memo key must hash
             object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
-        if any(m < 0 for m in self.multiplicities):
+        if self.multiplicities and min(self.multiplicities) < 0:
             raise ValueError("boundary multiplicities must be nonnegative")
 
     @classmethod

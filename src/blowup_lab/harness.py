@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import struct
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -241,11 +240,11 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
     return first == second
 
 
-#: Each run's prefix by Trajectory object, as (its feature vectors packed as
-#: native doubles, the first 25 doubles of each vector as bytes, {index of a
-#: state: index of the first state with the same vector}): an entry lives
-#: exactly as long as its run.  The heads are rank-table keys, held with the
-#: run so that each is built and hashed once.
+#: Each run's prefix by Trajectory object, as (its feature vectors, the tuples
+#: extract_features returned; the first 25 doubles of each vector as bytes;
+#: {index of a state: index of the first state with the same vector}): an
+#: entry lives exactly as long as its run.  The heads are rank-table keys,
+#: held with the run so that each is built and hashed once.
 _streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _VECTOR = struct.Struct(f"{NUM_FEATURES}d")
 _HEAD = struct.calcsize(f"{NUM_FEATURES - 1}d")
@@ -262,9 +261,10 @@ def simulate_case(
     only: on its V(z) tail the ideal and the base multiplicities are fixed,
     so each tail vector is the last prefix vector with the boundary mass f25
     raised by the exceptional exponent per step.  A run's prefix is extracted
-    once and kept as long as the run, so at a cap up to DEFAULT_CAP, where
-    run_trajectory hands back one run per case, a case is extracted once per
-    process.  run_trajectory is called on every call.
+    once and its vectors are kept as long as the run, so at a cap up to
+    DEFAULT_CAP, where run_trajectory hands back one run per case, a case is
+    extracted once per process, and a repeat call copies the list of held
+    vectors.  run_trajectory is called on every call.
 
     Every state gets a rank, but the ranker, which must be pure, is called
     once per bit-distinct vector.  ``table`` is the rank table score_benchmark
@@ -281,7 +281,7 @@ def simulate_case(
     if held is None:
         feature_stream = [extract_features(s) for s in trajectory.prefix]
     else:
-        feature_stream = list(_VECTOR.iter_unpack(held[0]))
+        feature_stream = list(held[0])
     if trajectory.tail_len:
         entry = feature_stream[-1][:25]
         mass = trajectory.prefix[-1].boundary.mass
@@ -332,7 +332,7 @@ def _held_prefix(feature_stream: list, prefix_len: int) -> tuple:
         j = first.setdefault(key, i)
         if j != i:
             repeats[i] = j
-    return b"".join(packed), heads, repeats
+    return tuple(feature_stream[:prefix_len]), heads, repeats
 
 
 @dataclass(frozen=True)
@@ -414,6 +414,10 @@ def score_benchmark(
         raise ValueError("cannot score an empty suite")
     table = {} if len(cases) > 1 else None
     if workers > 1:
+        # imported here: concurrent.futures brings logging and queue, which a
+        # serial scoring never uses
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
     else:

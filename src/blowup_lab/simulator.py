@@ -87,12 +87,17 @@ def select_center(state: State) -> Center:
        variable order).
     3. Else (every monomial involves z) fall back to the divisor V(z).
     """
-    if not state.ideal:
+    return ideal_center(state.ideal, state.vars)
+
+
+def ideal_center(ideal: IdealSpec, vars: VariableSet) -> Center:
+    """select_center of any state with this ideal: the rule reads no boundary."""
+    if not ideal:
         raise ValueError("cannot select a center for an empty ideal")
 
     best_var = None
     best_exp = -1
-    for m in state.ideal:
+    for m in ideal:
         e = m.exponents
         if e[-1] != 0:
             continue
@@ -106,14 +111,14 @@ def select_center(state: State) -> Center:
     if best_var is not None:
         return Center(CODIM2, best_var)
 
-    base_monomials = [m for m in state.ideal if m.exponents[-1] == 0]
+    base_monomials = [m for m in ideal if m.exponents[-1] == 0]
     if base_monomials:
         chosen = min(base_monomials, key=lambda m: m.total_degree)  # first minimum wins
         e = chosen.exponents
-        j = max(state.vars.base_indices, key=lambda i: (e[i], -i))
+        j = max(vars.base_indices, key=lambda i: (e[i], -i))
         return Center(CODIM2, j)
 
-    return Center(DIVISOR_Z, state.vars.elim_index)
+    return Center(DIVISOR_Z, vars.elim_index)
 
 
 def step(state: State) -> tuple[State, Center, int]:
@@ -146,7 +151,7 @@ def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]
     # exceptional exponent), each monomial's image taken from _rewrite; a
     # fixed-ideal tail maps its ideal to one shared IdealSpec object
     exc = exceptional_exponent(ideal)
-    center = select_center(State.initial(ideal, vars))
+    center = ideal_center(ideal, vars)
     v = center.var_index
     images = [_rewrite(m, v, exc) for m in ideal]
     return IdealSpec(tuple(m for m in images if m is not None)), center, exc

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import blowup_lab
 from blowup_lab.benchmarks import (
     PROVENANCE_RECONSTRUCTED,
     ManifestError,
@@ -19,7 +25,8 @@ from blowup_lab.benchmarks import (
     load_manifest,
     save_manifest,
 )
-from blowup_lab.core import parse_polynomial, render_polynomial
+from blowup_lab.core import State, parse_polynomial, render_polynomial
+from blowup_lab.features import extract_features
 
 
 def test_suite_cardinalities(suite_broad24, suite_focused71, suite_extended100):
@@ -54,6 +61,59 @@ def test_builtin_suites_are_built_once():
         assert suite() is suite()
     assert builtin_suites()["broad24"] is get_suite("broad24") is broad24()
     assert all(a is b for a, b in zip(extended100()[:71], focused71(), strict=True))
+
+
+def test_initial_state_is_one_object_per_case(tmp_path, suite_broad24, suite_extended100):
+    save_manifest(suite_broad24[:3], tmp_path / "m.json")
+    for case in (
+        suite_broad24
+        + suite_extended100
+        + generate_broad_surrogates(4, 20)
+        + load_manifest(tmp_path / "m.json")
+    ):
+        first = case.initial_state()
+        fresh = State.initial(case.ideal, case.vars)
+        assert first == fresh and hash(first) == hash(fresh)
+        assert first is not fresh and case.initial_state() is first
+        assert first.boundary.mass == 0
+
+
+_UNPICKLE_AND_START = """
+import pickle, sys
+from blowup_lab.core import State
+from blowup_lab.features import extract_features
+case = pickle.loads(sys.stdin.buffer.read())
+start = case.initial_state()
+fresh = State.initial(case.ideal, case.vars)
+print(start is case.initial_state(), start == fresh, {fresh: 1}.get(start))
+print(" ".join(v.hex() for v in extract_features(start)))
+"""
+
+
+def test_pickled_case_keeps_a_working_initial_state(suite_focused71):
+    # the built state travels with the case; the child hashes strings under
+    # another seed, so a hash that travelled with it would not find its key
+    case = suite_focused71[5]
+    start = case.initial_state()
+    data = pickle.dumps(case)
+    loaded = pickle.loads(data)
+    assert loaded == case and loaded.initial_state() == start
+    assert loaded.initial_state() is loaded.initial_state()
+
+    src = str(Path(blowup_lab.__file__).resolve().parents[1])
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE_AND_START],
+        input=data,
+        env=env,
+        capture_output=True,
+        timeout=60,
+        check=True,
+    )
+    flags, fv = child.stdout.decode().splitlines()
+    assert flags.split() == ["True", "True", "1"]
+    assert fv.split() == [v.hex() for v in extract_features(start)]
 
 
 def test_specific_rows_present(suite_broad24, suite_focused71, suite_extended100):

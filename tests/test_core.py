@@ -201,6 +201,16 @@ def test_state_validates_indexing(vars4):
         Boundary((-1, 0, 0, 0))
 
 
+def test_boundary_checks_its_multiplicities():
+    for bad in ((-1, 0, 0, 0), (0, 0, 0, -5), [2, -1]):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            Boundary(bad)
+    listed = Boundary([0, 3, 0, 1])
+    assert type(listed.multiplicities) is tuple
+    assert listed == Boundary((0, 3, 0, 1)) and hash(listed) == hash(Boundary((0, 3, 0, 1)))
+    assert Boundary(()).multiplicities == () and Boundary([]).mass == 0
+
+
 def test_ideal_spec_hash_follows_value(vars4):
     ideal = parse_polynomial("z^3 + x^6 + w^2*y^4", vars4)
     same = parse_polynomial("z^3 + x^6 + w^2*y^4", vars4)

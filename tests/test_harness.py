@@ -5,11 +5,16 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import blowup_lab
 from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.core import State, parse_polynomial
 from blowup_lab.harness import (
@@ -232,6 +237,33 @@ def test_score_benchmark_parallel_matches_serial(suite_focused71, default_cfg):
     serial = score_benchmark(get_ranker("disc_lex"), cases, default_cfg, "s", workers=1)
     parallel = score_benchmark(get_ranker("disc_lex"), cases, default_cfg, "s", workers=4)
     assert serial == parallel
+
+
+_IMPORT_THEN_SCORE = """
+import sys
+import blowup_lab
+from blowup_lab import HarnessConfig, get_ranker, score_benchmark
+from blowup_lab.benchmarks import focused71
+print("concurrent.futures" in sys.modules)
+args = (get_ranker("disc_lex"), focused71()[:12], HarnessConfig(), "s")
+serial = score_benchmark(*args, workers=1)
+print(score_benchmark(*args, workers=2) == serial, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_thread_pool_is_imported_only_for_workers():
+    # a serial scoring never reaches the pool: importing the package loads no
+    # concurrent.futures (with its logging and queue), and workers=2 still
+    # gives the serial report
+    src = str(Path(blowup_lab.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _IMPORT_THEN_SCORE],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=120,
+        check=True,
+    )
+    assert child.stdout.decode().split() == ["False", "True", "True"]
 
 
 def test_score_benchmark_flags_nondeterministic_ranker(suite_focused71, default_cfg):

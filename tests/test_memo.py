@@ -202,14 +202,16 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
     assert _streams_match_their_runs()
 
 
-def _streams_match_their_runs():
-    # one packed vector and one rank-table head per prefix state; each head is
-    # its vector's first 25 doubles
-    size = harness._VECTOR.size
+def _streams_match_their_runs(extract=extract_features):
+    # one held vector and one rank-table head per prefix state: each vector is
+    # the tuple a fresh extraction gives, bit for bit (the sign of zero too),
+    # and each head is that vector's first 25 doubles, packed
     return all(
-        len(packed) == len(run.prefix) * size
-        and list(heads) == [packed[i : i + harness._HEAD] for i in range(0, len(packed), size)]
-        for run, (packed, heads, _) in harness._streams.items()
+        len(vectors) == len(heads) == len(run.prefix)
+        and all(type(fv) is tuple for fv in vectors)
+        and [_hex(fv) for fv in vectors] == [_hex(extract(s)) for s in run.prefix]
+        and list(heads) == [struct.pack("25d", *fv[:25]) for fv in vectors]
+        for run, (vectors, heads, _) in harness._streams.items()
     )
 
 
@@ -292,7 +294,7 @@ def test_cold_memos_clears_every_memo(request):
 
 def _held_vectors():
     assert _streams_match_their_runs()
-    return sum(len(heads) for _, heads, _ in harness._streams.values())
+    return sum(len(vectors) for vectors, _, _ in harness._streams.values())
 
 
 def test_returned_streams_are_the_callers_own(cold_memos):
@@ -362,6 +364,42 @@ def test_each_scoring_runs_every_trajectory(cold_memos):
     assert len(trajectories) == 142
     assert len(harness._streams) == 62
     assert reports[0] == reports[1]
+
+
+def test_warm_scoring_builds_no_state_and_extracts_nothing():
+    # once a scoring has run, each case hands back its one initial state, the
+    # run memo its run, and the stream memo its vectors: a warm scoring builds
+    # no State and extracts no feature vector, and still runs every case
+    cases = focused71()
+    ranker = get_ranker("disc_lex")
+    cfg = HarnessConfig()
+    want = score_benchmark(ranker, cases, cfg)
+    built = []
+    extracted = []
+    runs = []
+    post_init = State.__post_init__
+    real_trajectory = harness.run_trajectory
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_extract(state):
+        extracted.append(state)
+        return extract_features(state)
+
+    def counted_trajectory(*args, **kwargs):
+        runs.append(args[0])
+        return real_trajectory(*args, **kwargs)
+
+    with patch.object(State, "__post_init__", counted_post_init), patch.object(
+        harness, "extract_features", counted_extract
+    ), patch.object(harness, "run_trajectory", counted_trajectory):
+        assert score_benchmark(ranker, cases, cfg) == want
+        State.initial(cases[0].ideal, cases[0].vars)  # the patch counts
+    assert len(built) == 1 and not extracted
+    assert len(runs) == len(cases)
+    assert all(run is case.initial_state() for run, case in zip(runs, cases))
 
 
 def test_threads_share_the_stream_memo(cold_memos):
@@ -570,6 +608,8 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
                 calls.clear()
                 check(*case, None)
                 assert len(calls) == distinct([case[1]])
+        assert len(harness._streams) == len({(s, cap) for s in initials if cap <= DEFAULT_CAP})
+        assert _streams_match_their_runs(extract)
     finally:
         # no stream of the altered features outlives the test
         harness._streams.clear()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from blowup_lab.benchmarks import broad24, extended100, generate_broad_surrogates
 from blowup_lab.core import (
     Boundary,
     IdealSpec,
@@ -18,6 +19,7 @@ from blowup_lab.simulator import (
     DIVISOR_Z,
     Center,
     exceptional_exponent,
+    ideal_center,
     is_monomial_phase,
     run_trajectory,
     select_center,
@@ -75,6 +77,25 @@ def test_select_center_no_pure_base(vars4):
     # resolves by variable order
     center = select_center(_state("z^3 + x^3*y^3", vars4))
     assert center == Center(CODIM2, 0)
+
+
+def test_ideal_center_is_select_center_on_the_suites():
+    # every state the builtin suites and the surrogates reach, with the
+    # boundary each run gives it: the center depends on the ideal alone, and
+    # each recorded step used it
+    states = 0
+    for case in broad24() + extended100() + generate_broad_surrogates(1, 200):
+        run = run_trajectory(case.initial_state(), 120)
+        for k, state in enumerate(run.prefix):
+            if not state.ideal:  # monomial phase; neither picks a center
+                continue
+            center = ideal_center(state.ideal, state.vars)
+            assert center == select_center(state)
+            assert center == select_center(State.initial(state.ideal, state.vars))
+            if k < len(run.centers):
+                assert center == run.centers[k]
+            states += 1
+    assert states > 2000
 
 
 def test_select_center_divisor_fallback(vars4):
