@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.features import NUM_FEATURES, extract_features
 from blowup_lab.rankers import get_ranker
-from blowup_lab.simulator import DEFAULT_CAP, run_trajectory
+from blowup_lab.simulator import DEFAULT_CAP, MONOMIAL_MEMO_ENTRIES, run_trajectory
 
 FLAG_DELAY = 1
 FLAG_NORMALIZATION = 2
@@ -241,19 +241,19 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
 
 
 #: Each run's prefix by Trajectory object, as (its feature vectors, the tuples
-#: extract_features returned; the first 25 doubles of each vector as bytes;
-#: {index of a state: index of the first state with the same vector}): an
-#: entry lives exactly as long as its run.  The heads are rank-table keys,
+#: extract_features returned; the first 25 doubles of each vector as bytes):
+#: an entry lives exactly as long as its run.  The heads are rank-table keys,
 #: held with the run so that each is built and hashed once.
 _streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_VECTOR = struct.Struct(f"{NUM_FEATURES}d")
-_HEAD = struct.calcsize(f"{NUM_FEATURES - 1}d")
+_HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
 _UNRANKED = object()
 
+#: Rank tables by ranker id, as [a weak reference to the ranker, its table,
+#: the ranks the table holds]: an entry goes when its ranker dies.
+_tables: dict = {}
 
-def simulate_case(
-    initial: State, ranker: Callable, cfg: HarnessConfig, table: Optional[dict] = None
-):
+
+def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     """Run a trajectory and evaluate features and ranks along it.
 
     Ranker crashes are recorded as None ranks, which the audit treats as
@@ -266,20 +266,24 @@ def simulate_case(
     extracted once per process, and a repeat call copies the list of held
     vectors.  run_trajectory is called on every call.
 
-    Every state gets a rank, but the ranker, which must be pure, is called
-    once per bit-distinct vector.  ``table`` is the rank table score_benchmark
-    shares among the cases of a call: it maps the first 25 doubles, as bytes,
-    to a dict from f25 to the rank (None for a crash).  f25 is the float of a
-    non-negative int, never -0.0 or NaN, so equal f25 keys are equal bits.  A
-    tail shares its entry vector's head, so each tail state costs one f25
-    lookup.  Without a table, as for a call of one case, the run's own
-    repeats are copied from their first state, which costs no lookup on the
-    other states.
+    Every state gets a rank from the ranker's rank table (see
+    score_benchmark), so the ranker, which must be pure, is called once per
+    bit-distinct vector it has not ranked yet.
     """
+    return _with_rank_table(ranker, lambda table: [_simulate(initial, ranker, cfg, table)])[0]
+
+
+def _simulate(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
+    # Gives ((trajectory, features, ranks), the ranks added to table).  table
+    # maps the first 25 doubles, as bytes, to a dict from f25 to the rank (None
+    # for a crash); f25, the float of a non-negative int, is never -0.0 or NaN,
+    # so equal keys are equal bits.  A tail shares its entry vector's head
     trajectory = run_trajectory(initial, cfg.cap)
     held = _streams.get(trajectory)
     if held is None:
         feature_stream = [extract_features(s) for s in trajectory.prefix]
+        heads = tuple([_HEAD.pack(*fv[:25]) for fv in feature_stream])
+        held = _streams[trajectory] = (tuple(feature_stream), heads)
     else:
         feature_stream = list(held[0])
     if trajectory.tail_len:
@@ -289,24 +293,12 @@ def simulate_case(
         feature_stream += [
             entry + (float(mass + j * exc),) for j in range(1, trajectory.tail_len + 1)
         ]
-    if held is None:
-        held = _streams[trajectory] = _held_prefix(feature_stream, len(trajectory.prefix))
-    _, heads, repeats = held
-    rank_stream = []
-    if table is None:
-        for i, fv in enumerate(feature_stream):
-            if i in repeats:
-                rank_stream.append(rank_stream[repeats[i]])
-                continue
-            try:
-                rank_stream.append(ranker(fv))
-            except Exception:
-                rank_stream.append(None)
-        return trajectory, feature_stream, rank_stream
     # the inner rank dict of each state: one per head, so a tail shares its
     # entry vector's; `or` takes an empty dict another thread just added
-    rank_dicts = [table.get(head) or table.setdefault(head, {}) for head in heads]
+    rank_dicts = [table.get(head) or table.setdefault(head, {}) for head in held[1]]
     rank_dicts += rank_dicts[-1:] * trajectory.tail_len
+    rank_stream = []
+    ranked = 0
     for ranks, fv in zip(rank_dicts, feature_stream):
         rank = ranks.get(fv[25], _UNRANKED)
         if rank is _UNRANKED:
@@ -315,24 +307,28 @@ def simulate_case(
             except Exception:
                 rank = None
             ranks[fv[25]] = rank
+            ranked += 1
         rank_stream.append(rank)
-    return trajectory, feature_stream, rank_stream
+    return (trajectory, feature_stream, rank_stream), ranked
 
 
-def _held_prefix(feature_stream: list, prefix_len: int) -> tuple:
-    packed = [_VECTOR.pack(*fv) for fv in feature_stream[:prefix_len]]
-    heads = tuple([v[:_HEAD] for v in packed])
-    # every tail vector has the last head, so the vectors of that head are
-    # told apart by f25 (float() can round two tail masses to one), and the
-    # other prefix vectors by their bytes
-    first: dict = {}
-    repeats = {}
-    for i, fv in enumerate(feature_stream):
-        key = packed[i] if i < prefix_len and heads[i] != heads[-1] else fv[25]
-        j = first.setdefault(key, i)
-        if j != i:
-            repeats[i] = j
-    return tuple(feature_stream[:prefix_len]), heads, repeats
+def _with_rank_table(ranker: Callable, rank_all: Callable[[dict], list]) -> tuple:
+    # rank_all(table) gives [(result, ranks it added)]; the ranker's table is
+    # taken out, and put back unless the call raised or took it past the bound
+    key = id(ranker)
+    held = _tables.pop(key, None)
+    if held is None or held[0]() is not ranker:
+        held = [None, {}, 0]
+    results, ranked = zip(*rank_all(held[1]))
+    held[2] += sum(ranked)
+    if held[2] <= MONOMIAL_MEMO_ENTRIES:
+        try:
+            if held[0] is None:
+                held[0] = weakref.ref(ranker, lambda _: _tables.pop(key, None))
+            _tables[key] = held
+        except TypeError:  # the ranker takes no weak reference
+            pass
+    return results
 
 
 @dataclass(frozen=True)
@@ -374,11 +370,8 @@ class SuiteReport:
         }
 
 
-def _score_one(
-    case, ranker: Callable, cfg: HarnessConfig, table: Optional[dict]
-) -> ViolationReport:
-    initial = case.initial_state()
-    _, feature_stream, rank_stream = simulate_case(initial, ranker, cfg, table)
+def _score_one(case, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
+    (_, feature_stream, rank_stream), ranked = _simulate(case.initial_state(), ranker, cfg, table)
     report = audit_trajectory(rank_stream, feature_stream, cfg, name=case.name).report
     # purity gate: a ranker that fails the determinism probe is structurally
     # broken even if each single evaluation looks fine
@@ -389,7 +382,7 @@ def _score_one(
             structural_failure=True,
             solved=False,
         )
-    return report
+    return report, ranked
 
 
 def score_benchmark(
@@ -404,24 +397,27 @@ def score_benchmark(
 
     Cases are independent; with workers > 1 they are evaluated concurrently
     and reassembled in suite order, so the report is deterministic either
-    way.  The cases share one rank table, dropped on return, so the ranker
-    is called once per bit-distinct feature vector of the call (a race
-    between threads may call it twice), plus the purity probe's two calls
-    per case.  A call of one case takes no table: its run holds its own
-    repeats.
+    way.  The cases share the rank table of the ranker object, keyed by its
+    identity, never by equality: the ranker is called once per bit-distinct
+    feature vector it has not ranked (a race between threads may call it
+    twice), plus the purity probe's two calls per case.  The table is kept
+    while the object lives and the table holds at most MONOMIAL_MEMO_ENTRIES
+    ranks; a ranker that takes no weak reference gets a fresh one per call.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")
-    table = {} if len(cases) > 1 else None
-    if workers > 1:
+
+    def score_all(table: dict) -> list:
+        if workers <= 1:
+            return [_score_one(case, ranker, cfg, table) for case in cases]
         # imported here: concurrent.futures brings logging and queue, which a
         # serial scoring never uses
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
-    else:
-        reports = [_score_one(case, ranker, cfg, table) for case in cases]
+            return list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
+
+    reports = _with_rank_table(ranker, score_all)
 
     total = sum(r.total_violations for r in reports)
     staged = 0.0

@@ -20,11 +20,12 @@ outputs.  The first component is 0 exactly on monomial-phase inputs and
 strictly positive otherwise.
 
 Purity is the contract that lets the harness rank less often than it audits.
-Within one ``score_benchmark`` call it calls a ranker once per bit-distinct
-feature vector, and every state with that vector gets the same rank object;
-only the purity probe calls it directly, twice per case.  A ranker that is
-not pure is thus called fewer times than there are states, and a rank should
-be a sequence that can be read more than once.
+It keeps a rank table per ranker object while the object lives, and calls a
+ranker once per bit-distinct feature vector the object has not ranked yet:
+every state with that vector gets the same rank object, and a vector it
+raised on stays a crash.  Only the purity probe calls it directly, twice per
+case.  So an impure ranker is called fewer times than there are states, and
+a rank should be a sequence that can be read more than once.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ DEFAULT_CAP = 30
 #: distinct ideals in extended100), so each is computed once across rankers.
 MEMO_ENTRIES = 512
 
-#: Entries kept by each per-monomial lru_cache: monomial rewrites and monomial
-#: feature facts.  The ideals of a run share a few monomials (focused71 has 64
-#: distinct ones at cap 30), so each is worked out once, not per ideal.
+#: Entries kept by each per-monomial lru_cache (monomial rewrites and feature
+#: facts), and ranks kept by a harness rank table between calls.  The ideals of
+#: a run share a few monomials (focused71 has 64 at cap 30): each is done once.
 MONOMIAL_MEMO_ENTRIES = 4096
 
 

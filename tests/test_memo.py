@@ -22,13 +22,15 @@ import gc
 import math
 import struct
 import sys
+import weakref
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowup_lab import features, harness, simulator
+from blowup_lab import features, harness, search, simulator
 from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.core import (
     MIXED,
@@ -51,7 +53,8 @@ from blowup_lab.harness import (
     score_benchmark,
     simulate_case,
 )
-from blowup_lab.rankers import get_ranker, ranker_names
+from blowup_lab.rankers import RankerTemplate, get_ranker, ranker_names
+from blowup_lab.search import hill_climb
 from blowup_lab.simulator import (
     DEFAULT_CAP,
     MEMO_ENTRIES,
@@ -169,10 +172,12 @@ _INITIAL_STATES = [case.initial_state() for case in _CASES]
 )
 @example(state=_NEVER_REPEATS[0].initial_state(), cap=120, ranker="disc_lex")
 def test_compact_tail_matches_plain_loop(state, cap, ranker):
-    # simulate_case runs cold (the streams cleared) and then warm, and both
-    # must give the plain loop's features, ranks and audit; the warm call
-    # reuses the run, and its stream, exactly when the cap is at most the
-    # default, and only the last run's stream is left
+    # simulate_case runs cold (the streams cleared, and a fresh copy of the
+    # ranker, so its rank table too), then warm, then with the builtin ranker,
+    # whose table earlier examples filled; each must give the plain loop's
+    # features, ranks and audit.  A warm call reuses the run, and its stream,
+    # exactly when the cap is at most the default, and only the last run's
+    # stream is left
     trajectory = run_trajectory(state, cap)
     states, centers, excs, monomial_step = _plain_trajectory(state, cap)
     assert trajectory.states == tuple(states)
@@ -192,8 +197,10 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
         except Exception:
             plain_ranks.append(None)
     plain_audit = audit_trajectory(plain_ranks, plain_features, cfg)
-    for _ in ("cold", "warm"):
-        run, feature_stream, rank_stream = simulate_case(state, rank_fn, cfg)
+    fresh = replace(rank_fn)
+    assert fresh == rank_fn and fresh is not rank_fn
+    for rank_with in (fresh, fresh, rank_fn):
+        run, feature_stream, rank_stream = simulate_case(state, rank_with, cfg)
         assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in plain_features]
         assert [_rank_hex(r) for r in rank_stream] == [_rank_hex(r) for r in plain_ranks]
         assert audit_trajectory(rank_stream, feature_stream, cfg) == plain_audit
@@ -211,7 +218,7 @@ def _streams_match_their_runs(extract=extract_features):
         and all(type(fv) is tuple for fv in vectors)
         and [_hex(fv) for fv in vectors] == [_hex(extract(s)) for s in run.prefix]
         and list(heads) == [struct.pack("25d", *fv[:25]) for fv in vectors]
-        for run, (vectors, heads, _) in harness._streams.items()
+        for run, (vectors, heads) in harness._streams.items()
     )
 
 
@@ -294,7 +301,7 @@ def test_cold_memos_clears_every_memo(request):
 
 def _held_vectors():
     assert _streams_match_their_runs()
-    return sum(len(vectors) for vectors, _, _ in harness._streams.values())
+    return sum(len(vectors) for vectors, _ in harness._streams.values())
 
 
 def test_returned_streams_are_the_callers_own(cold_memos):
@@ -403,17 +410,21 @@ def test_warm_scoring_builds_no_state_and_extracts_nothing():
 
 
 def test_threads_share_the_stream_memo(cold_memos):
-    # workers=2 equals workers=1 with the per-case memos cold and warm; then
-    # more workers than cores, with a short switch interval, over more cases
-    # than the run memo holds, so that threads insert and evict runs, and
-    # drop their streams, at once
+    # workers=2 equals workers=1 with the per-case memos cold and warm, and
+    # each call with a fresh copy of the ranker, so that threads fill a cold
+    # rank table at once; then more workers than cores, with a short switch
+    # interval, over more cases than the run memo holds, so that threads
+    # insert and evict runs, and drop their streams, at once
     cases = broad24() + focused71() + extended100()
     ranker = get_ranker("r100")
     cfg = HarnessConfig()
     runs = []
     for workers in ((1, 2), (2, 1)):
         _cold_runs()
-        runs += [score_benchmark(ranker, cases, cfg, "s", "r100", workers=w) for w in workers]
+        runs += [
+            score_benchmark(replace(ranker), cases, cfg, "s", "r100", workers=w)
+            for w in workers
+        ]
     assert all(run == runs[0] for run in runs)
 
     many = generate_broad_surrogates(2, 600)
@@ -424,7 +435,7 @@ def test_threads_share_the_stream_memo(cold_memos):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = score_benchmark(ranker, many, cfg, "s", "r100", workers=4)
+        threaded = score_benchmark(replace(ranker), many, cfg, "s", "r100", workers=4)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
@@ -586,8 +597,8 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
     def distinct(streams):
         return len({struct.pack("26d", *fv) for fvs in streams for fv in fvs})
 
-    def check(state, fvs, ranks, table):
-        _, feature_stream, rank_stream = simulate_case(state, ranker, cfg, table)
+    def check(rank_with, state, fvs, ranks):
+        _, feature_stream, rank_stream = simulate_case(state, rank_with, cfg)
         assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in fvs]
         assert [_rank_hex(r) for r in rank_stream] == ranks
 
@@ -596,18 +607,24 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
     harness._streams.clear()
     try:
         with patch.object(harness, "extract_features", extract):
-            # one table shared by every case, as score_benchmark shares it
-            for _ in ("cold", "warm"):
+            # one call per case with one ranker object, whose table the calls
+            # share: the first pass ranks each bit-distinct vector once, and
+            # the second ranks nothing
+            n = distinct(plain_features)
+            for want in (n, 0):
                 calls.clear()
-                table = {}
                 for case in cases:
-                    check(*case, table)
-                assert len(calls) == distinct(plain_features)
-            # no table, as for a call of one case
-            for case in cases:
+                    check(ranker, *case)
+                assert len(calls) == want
+            # two objects that compare equal but rank differently: each gets
+            # its own table, so neither sees the other's ranks
+            a, b = _EqualRanker(ranker, 0), _EqualRanker(ranker, 1)
+            assert a == b and hash(a) == hash(b)
+            for shifted, want in ((a, n), (b, n), (a, 0)):
                 calls.clear()
-                check(*case, None)
-                assert len(calls) == distinct([case[1]])
+                for state, fvs, ranks in cases:
+                    check(shifted, state, fvs, [shifted.shift_hex(r) for r in ranks])
+                assert len(calls) == want
         assert len(harness._streams) == len({(s, cap) for s in initials if cap <= DEFAULT_CAP})
         assert _streams_match_their_runs(extract)
     finally:
@@ -615,11 +632,33 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
         harness._streams.clear()
 
 
+class _EqualRanker:
+    """Rankers that all compare equal and hash alike, but append ``shift``
+    to the wrapped rank: a table keyed by equality would mix them up."""
+
+    def __init__(self, rank_fn, shift):
+        self.rank_fn = rank_fn
+        self.shift = shift
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+    def __call__(self, fv):
+        return self.rank_fn(fv) + (self.shift,)
+
+    def shift_hex(self, rank_hex):
+        return None if rank_hex is None else rank_hex + [("int", self.shift)]
+
+
 _SUITES = {
     "focused71": focused71,
     "extended100": extended100,
     "broad24": broad24,
     "surrogates": lambda: generate_broad_surrogates(1, 200),
+    "builtin": lambda: broad24() + focused71() + extended100(),
 }
 
 
@@ -631,12 +670,17 @@ _SUITES = {
         ("broad24", 30, 270),
         ("broad24", 120, 900),
         ("surrogates", 120, 2478),
+        ("surrogates-per-case", 120, 2478),
+        ("builtin-per-case", 30, 674),
     ],
 )
 def test_each_scoring_ranks_each_bit_distinct_vector_once(suite, cap, distinct):
     # focused71 ranks 2,141 states at cap 30 and the surrogates 24,200 at cap
-    # 120; the purity probe adds its two direct calls per case
-    cases = _SUITES[suite]()
+    # 120; the purity probe adds its two direct calls per case.  Scored one
+    # case per call (-per-case), as the benchmark scores them, the calls share
+    # the ranker's table, so the count is that of one call over all the cases
+    per_case = suite.endswith("-per-case")
+    cases = _SUITES[suite.removesuffix("-per-case")]()
     rank_fn = get_ranker("disc_lex")
     calls = []
 
@@ -645,10 +689,118 @@ def test_each_scoring_ranks_each_bit_distinct_vector_once(suite, cap, distinct):
         return rank_fn(fv)
 
     cfg = HarnessConfig(cap=cap)
-    report = score_benchmark(counted, cases, cfg, ranker_name="disc_lex")
-    assert not any(r.structural_failure for r in report.reports)
+    if per_case:
+        reports = tuple(
+            score_benchmark(counted, (case,), cfg, ranker_name="disc_lex").reports[0]
+            for case in cases
+        )
+    else:
+        reports = score_benchmark(counted, cases, cfg, ranker_name="disc_lex").reports
+    assert not any(r.structural_failure for r in reports)
     assert len(calls) - 2 * len(cases) == distinct
-    assert report == score_benchmark(rank_fn, cases, cfg)
+    assert reports == score_benchmark(rank_fn, cases, cfg).reports
+
+
+# Rank-table lifetime: a table is kept by ranker identity for as long as the
+# ranker lives, and between calls holds at most MONOMIAL_MEMO_ENTRIES ranks.
+
+
+def _tables_within_bound():
+    # each kept table's ranker is alive, and its count is at least the ranks
+    # it holds (threads that race on one vector both count it) and at most
+    # the bound
+    return all(
+        ref() is not None
+        and sum(len(by_mass) for by_mass in table.values()) <= ranks <= MONOMIAL_MEMO_ENTRIES
+        for ref, table, ranks in harness._tables.values()
+    )
+
+
+def test_each_candidate_table_lasts_one_evaluation():
+    # every hill-climb candidate is a fresh Ranker: its table is kept when its
+    # evaluation returns, and goes with the candidate
+    candidates = []
+    held_after_scoring = []
+
+    class Recorded(RankerTemplate):
+        def instantiate(self, weights):
+            ranker = super().instantiate(weights)
+            candidates.append(weakref.ref(ranker))
+            return ranker
+
+    def scored(ranker, *args, **kwargs):
+        report = score_benchmark(ranker, *args, **kwargs)
+        held_after_scoring.append(id(ranker) in harness._tables)
+        return report
+
+    before = set(harness._tables)
+    with patch.object(search, "score_benchmark", scored):
+        hill_climb(Recorded(), focused71(), HarnessConfig(), budget=5, seed=1)
+    gc.collect()
+    assert len(candidates) == len(held_after_scoring) == 6 and all(held_after_scoring)
+    assert all(ref() is None for ref in candidates)
+    # every table left has a live ranker, and none is new
+    assert set(harness._tables) <= before and _tables_within_bound()
+
+
+def test_rank_table_goes_with_its_ranker():
+    ranker = replace(get_ranker("disc_lex"))
+    key = id(ranker)
+    score_benchmark(ranker, broad24(), HarnessConfig())
+    ref, table, ranks = harness._tables[key]
+    assert ref() is ranker and ranks == sum(map(len, table.values())) == 270
+    assert _tables_within_bound()
+    del ranker
+    assert key not in harness._tables
+
+
+def test_rank_table_past_its_bound_is_dropped_on_return():
+    # focused71 at cap 4096 has 8,343 bit-distinct vectors: the bound is
+    # checked once the call returns, so within the call each is ranked once,
+    # and the table is then dropped, so the next call ranks them all again
+    rank_fn = get_ranker("disc_lex")
+    calls = []
+
+    def counted(fv):
+        calls.append(fv)
+        return rank_fn(fv)
+
+    cases = focused71()
+    cfg = HarnessConfig(cap=4096)
+    first = score_benchmark(counted, cases, cfg)
+    assert (first.solved_count, first.total_violations) == (2, 175390)
+    assert len(calls) == 8343 + 2 * len(cases)
+    assert id(counted) not in harness._tables
+    assert _tables_within_bound()
+    calls.clear()
+    assert score_benchmark(counted, cases, cfg) == first
+    assert len(calls) == 8343 + 2 * len(cases)
+    assert id(counted) not in harness._tables
+
+
+def test_ranker_without_weak_references_gets_a_table_per_call():
+    # a __slots__ = () instance takes no weak reference: each call ranks each
+    # bit-distinct vector of the call once, and keeps nothing
+    rank_fn = get_ranker("disc_lex")
+    calls = []
+
+    class Unreferenced:
+        __slots__ = ()
+
+        def __call__(self, fv):
+            calls.append(fv)
+            return rank_fn(fv)
+
+    ranker = Unreferenced()
+    with pytest.raises(TypeError):
+        weakref.ref(ranker)
+    cases = focused71()
+    want = score_benchmark(rank_fn, cases, HarnessConfig())
+    for _ in range(2):
+        calls.clear()
+        assert score_benchmark(ranker, cases, HarnessConfig(), ranker_name="disc_lex") == want
+        assert len(calls) == 211 + 2 * len(cases)
+        assert id(ranker) not in harness._tables
 
 
 # The per-monomial memos: the ideal feature kernel and the chart aggregate
