@@ -131,27 +131,31 @@ def audit_trajectory(
     marks are then those of the steps before the first malformed rank, and
     0/False from it on.
     """
-    if len(ranks) != len(features):
+    # scoring passes _GatedRanks: ranks gated once per distinct rank (a list
+    # for a malformed one) over the prefix vectors, and a tail step reads its
+    # entry vector, whose f0, f9 and f14 a tail keeps
+    gated = type(ranks) is _GatedRanks
+    if not gated and len(ranks) != len(features):
         raise ValueError("rank and feature streams must have equal length")
     if not ranks:
         raise ValueError("empty trajectory")
 
     n = len(ranks)
-    tau = next((t for t in range(n) if features[t][9] == 1), n)
+    last = len(features) - 1
+    tau = next((t for t in range(last + 1) if features[t][9] == 1), n)
     window = cfg.window
     flags = [0] * n
     improved = [False] * n
     normalization = delay = align_f0_count = align_f14_count = 0
     local_increases = max_plateau = run_length = last_improve = 0
-    prev = best = prev_fv = None
+    prev = best = prev_fv = width = None
 
     # One pass: a step's detail depends only on tau and the steps up to it,
     # so stopping at the first malformed rank keeps the detail before it.
     # Native tuple order equals lex_compare on the gated ranks, which are
     # equal-length tuples of finite ints and floats.
-    for t in range(n):
-        rank = _as_rank(ranks[t])
-        if rank is None or (prev is not None and len(rank) != len(prev)):
+    for t, rank in enumerate(ranks if gated else map(_as_rank, ranks)):
+        if type(rank) is not tuple or (len(rank) != width and prev is not None):
             report = ViolationReport(
                 name=name,
                 total_violations=STRUCTURAL_PENALTY,
@@ -165,7 +169,8 @@ def audit_trajectory(
                 solved=False,
             )
             return TrajectoryAudit(report, tuple(flags), tuple(improved))
-        fv = features[t]
+        if t <= last:
+            fv = features[t]
         flag = 0
         # normalization: first component is 0 exactly in monomial phase
         if not ((rank[0] == 0) if fv[9] == 1 else (rank[0] > 0)):
@@ -174,6 +179,7 @@ def audit_trajectory(
 
         if prev is None:
             best = rank
+            width = len(rank)
             improved[0] = True
         else:
             # the running best is at most prev, so only a decrease can beat it;
@@ -246,70 +252,82 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
 #: held with the run so that each is built and hashed once.
 _streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
-_UNRANKED = object()
 
 #: Rank tables by ranker id, as [a weak reference to the ranker, its table,
 #: the ranks the table holds]: an entry goes when its ranker dies.
 _tables: dict = {}
 
 
+class _GatedRanks(list):
+    """A rank stream that scoring has gated: each entry is a well-formed rank
+    tuple, or a one-item list holding a malformed rank (None for a crash)."""
+
+
 def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     """Run a trajectory and evaluate features and ranks along it.
 
     Ranker crashes are recorded as None ranks, which the audit treats as
-    structural failures.  Features are extracted on the trajectory's prefix
-    only: on its V(z) tail the ideal and the base multiplicities are fixed,
-    so each tail vector is the last prefix vector with the boundary mass f25
-    raised by the exceptional exponent per step.  A run's prefix is extracted
-    once and its vectors are kept as long as the run, so at a cap up to
-    DEFAULT_CAP, where run_trajectory hands back one run per case, a case is
-    extracted once per process, and a repeat call copies the list of held
-    vectors.  run_trajectory is called on every call.
+    structural failures; a malformed rank is given as the ranker returned it,
+    and a well-formed one as a tuple.  Features are extracted on the
+    trajectory's prefix only: on its V(z) tail the ideal and the base
+    multiplicities are fixed, so each tail vector is the last prefix vector
+    with the boundary mass f25 raised by the exceptional exponent per step.
+    A run's prefix is extracted once and its vectors are kept as long as the
+    run, so at a cap up to DEFAULT_CAP, where run_trajectory hands back one
+    run per case, a case is extracted once per process.  run_trajectory is
+    called on every call.
 
-    Every state gets a rank from the ranker's rank table (see
+    Every state gets its rank from the ranker's rank table (see
     score_benchmark), so the ranker, which must be pure, is called once per
     bit-distinct vector it has not ranked yet.
     """
-    return _with_rank_table(ranker, lambda table: [_simulate(initial, ranker, cfg, table)])[0]
+    (trajectory, vectors, masses, ranks), = _with_rank_table(
+        ranker, lambda table: [_rank_run(initial, ranker, cfg, table)]
+    )
+    entry = vectors[-1][:25]
+    features = list(vectors) + [entry + (f25,) for f25 in masses[len(vectors) :]]
+    return trajectory, features, [r[0] if type(r) is list else r for r in ranks]
 
 
-def _simulate(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
-    # Gives ((trajectory, features, ranks), the ranks added to table).  table
-    # maps the first 25 doubles, as bytes, to a dict from f25 to the rank (None
-    # for a crash); f25, the float of a non-negative int, is never -0.0 or NaN,
-    # so equal keys are equal bits.  A tail shares its entry vector's head
+def _rank_run(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
+    # Gives ((trajectory, prefix vectors, every state's f25, _GatedRanks), the
+    # ranks added to table).  table maps the first 25 doubles, as bytes, to a
+    # dict from f25 to the gated rank; f25, the float of a non-negative int, is
+    # never -0.0 or NaN, so equal keys are equal bits.  A tail shares its entry
+    # vector's head, and a tail vector is built only when the ranker is called
     trajectory = run_trajectory(initial, cfg.cap)
     held = _streams.get(trajectory)
     if held is None:
-        feature_stream = [extract_features(s) for s in trajectory.prefix]
-        heads = tuple([_HEAD.pack(*fv[:25]) for fv in feature_stream])
-        held = _streams[trajectory] = (tuple(feature_stream), heads)
-    else:
-        feature_stream = list(held[0])
-    if trajectory.tail_len:
-        entry = feature_stream[-1][:25]
-        mass = trajectory.prefix[-1].boundary.mass
-        exc = trajectory.excs[-1]
-        feature_stream += [
-            entry + (float(mass + j * exc),) for j in range(1, trajectory.tail_len + 1)
-        ]
+        vectors = tuple([extract_features(s) for s in trajectory.prefix])
+        heads = tuple([_HEAD.pack(*fv[:25]) for fv in vectors])
+        held = _streams[trajectory] = (vectors, heads)
+    vectors, heads = held
+    masses = [fv[25] for fv in vectors]
     # the inner rank dict of each state: one per head, so a tail shares its
     # entry vector's; `or` takes an empty dict another thread just added
-    rank_dicts = [table.get(head) or table.setdefault(head, {}) for head in held[1]]
-    rank_dicts += rank_dicts[-1:] * trajectory.tail_len
-    rank_stream = []
+    rank_dicts = [table.get(head) or table.setdefault(head, {}) for head in heads]
+    tail_len = trajectory.tail_len
+    if tail_len:
+        mass = trajectory.prefix[-1].boundary.mass
+        exc = trajectory.excs[-1]
+        masses += [float(mass + j * exc) for j in range(1, tail_len + 1)]
+        rank_dicts += rank_dicts[-1:] * tail_len
+    ranks = _GatedRanks(map(dict.get, rank_dicts, masses))
     ranked = 0
-    for ranks, fv in zip(rank_dicts, feature_stream):
-        rank = ranks.get(fv[25], _UNRANKED)
-        if rank is _UNRANKED:
+    for t in [t for t, rank in enumerate(ranks) if rank is None]:
+        by_mass, f25 = rank_dicts[t], masses[t]
+        rank = by_mass.get(f25)  # an earlier state of this call may have added it
+        if rank is None:
+            fv = vectors[t] if t < len(vectors) else vectors[-1][:25] + (f25,)
             try:
-                rank = ranker(fv)
+                raw = ranker(fv)
             except Exception:
-                rank = None
-            ranks[fv[25]] = rank
+                raw = None
+            # gated once: an exact well-formed tuple is its own gated form
+            rank = by_mass[f25] = _as_rank(raw) or [raw]
             ranked += 1
-        rank_stream.append(rank)
-    return (trajectory, feature_stream, rank_stream), ranked
+        ranks[t] = rank
+    return (trajectory, vectors, masses, ranks), ranked
 
 
 def _with_rank_table(ranker: Callable, rank_all: Callable[[dict], list]) -> tuple:
@@ -371,11 +389,11 @@ class SuiteReport:
 
 
 def _score_one(case, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
-    (_, feature_stream, rank_stream), ranked = _simulate(case.initial_state(), ranker, cfg, table)
-    report = audit_trajectory(rank_stream, feature_stream, cfg, name=case.name).report
+    (_, vectors, _, ranks), ranked = _rank_run(case.initial_state(), ranker, cfg, table)
+    report = audit_trajectory(ranks, vectors, cfg, name=case.name).report
     # purity gate: a ranker that fails the determinism probe is structurally
     # broken even if each single evaluation looks fine
-    if not report.structural_failure and not check_determinism(ranker, feature_stream[0]):
+    if not report.structural_failure and not check_determinism(ranker, vectors[0]):
         report = replace(
             report,
             total_violations=report.total_violations + STRUCTURAL_PENALTY,
@@ -403,6 +421,9 @@ def score_benchmark(
     twice), plus the purity probe's two calls per case.  The table is kept
     while the object lives and the table holds at most MONOMIAL_MEMO_ENTRIES
     ranks; a ranker that takes no weak reference gets a fresh one per call.
+    A rank is gated once, when it enters the table, and each case is audited
+    on its gated ranks and its prefix vectors, so a tail vector is built only
+    when the ranker is called on it.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")

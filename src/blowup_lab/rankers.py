@@ -22,10 +22,11 @@ strictly positive otherwise.
 Purity is the contract that lets the harness rank less often than it audits.
 It keeps a rank table per ranker object while the object lives, and calls a
 ranker once per bit-distinct feature vector the object has not ranked yet:
-every state with that vector gets the same rank object, and a vector it
-raised on stays a crash.  Only the purity probe calls it directly, twice per
-case.  So an impure ranker is called fewer times than there are states, and
-a rank should be a sequence that can be read more than once.
+every state with that vector gets the same rank, and a vector it raised on
+stays a crash.  Only the purity probe calls it directly, twice per case.  So
+an impure ranker is called fewer times than there are states.  A rank is read
+once, when it enters the table: any iterable will do, and a one-shot one (a
+generator) is scored as the sequence that one read yielded.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@
 ranks in native tuple order, once per consecutive pair: every comparison goes
 through ``lex_compare`` and each pass makes its own.  The two must agree on
 every report field and on the per-step detail, which a structural failure
-keeps for the steps before the first malformed rank.
+keeps for the steps before the first malformed rank.  The audit of the ranks
+that scoring has gated, over a trajectory's prefix vectors, must agree with
+the public audit of the full streams.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_lab import harness
 from blowup_lab.harness import (
     FLAG_ALIGN_F0,
     FLAG_ALIGN_F14,
@@ -247,6 +250,23 @@ def test_audit_matches_lex_compare_reference(stream, cfg):
     want = _reference_audit(ranks, features, cfg, name="c")
     assert got == want
     # repr tells -0.0 from 0.0, so the same rank objects must have been kept
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stream=_streams(), cfg=_configs, data=st.data())
+def test_scoring_audit_of_gated_ranks_matches_public_audit(stream, cfg, data):
+    # scoring hands the audit each rank gated once (a one-item list for a
+    # malformed one) and only the prefix vectors: every tail step reads the
+    # entry vector, which a V(z) tail repeats in f0, f9 and f14
+    ranks, prefix = stream
+    tail = data.draw(st.lists(st.sampled_from(ranks), max_size=6))
+    ranks = ranks + tail
+    features = prefix + [prefix[-1]] * len(tail)
+    gated = harness._GatedRanks(harness._as_rank(r) or [r] for r in ranks)
+    got = audit_trajectory(gated, prefix, cfg, name="c")
+    want = audit_trajectory(ranks, features, cfg, name="c")
+    assert got == want
     assert repr(got) == repr(want)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -157,6 +159,10 @@ def test_exact_int_beyond_float_range_is_a_finite_rank():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         audit_trajectory([(1.0,)], _features(2), HarnessConfig()).report
+    # scoring's own rank streams may outrun their prefix vectors; a caller's
+    # may not
+    with pytest.raises(ValueError):
+        audit_trajectory([(1.0,)] * 3, _features(2), HarnessConfig()).report
 
 
 def test_local_increase_and_plateau_diagnostics():
@@ -278,6 +284,38 @@ def test_score_benchmark_flags_nondeterministic_ranker(suite_focused71, default_
     report = score_benchmark(Jitter(), suite_focused71[:3], default_cfg, "s")
     assert all(r.structural_failure for r in report.reports)
     assert not report.all_solved
+
+
+def test_one_shot_ranks_score_as_tuples(suite_focused71, default_cfg):
+    # the rank table reads a rank once, when it enters, so every state with a
+    # repeated vector is audited on what a one-shot generator yielded
+    disc = get_ranker("disc_lex")
+    want = score_benchmark(disc, suite_focused71, default_cfg, ranker_name="disc_lex")
+    assert want.all_solved
+    for form in (lambda fv: (v for v in disc(fv)), lambda fv: list(disc(fv))):
+        assert score_benchmark(form, suite_focused71, default_cfg, ranker_name="disc_lex") == want
+
+
+def test_scoring_calls_the_timed_hooks_once_per_case(suite_focused71, default_cfg):
+    # the benchmark times each case from its harness.run_trajectory call, and
+    # its tracer wraps these module attributes
+    harness = blowup_lab.harness
+    names = ("run_trajectory", "audit_trajectory", "check_determinism")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(patch.object(harness, name, counted(name, getattr(harness, name))))
+        report = score_benchmark(get_ranker("disc_lex"), suite_focused71, default_cfg)
+    assert report.all_solved
+    assert calls == dict.fromkeys(names, len(suite_focused71))
 
 
 def test_score_benchmark_empty_suite_rejected(default_cfg):

@@ -9,7 +9,8 @@ step, where ``run_trajectory`` stops at a fixed-ideal V(z) tail and
 ``simulator._held_run`` is compared cold and warm against its plain loop,
 ``simulator._stepped``, and the harness's feature streams, which live as long
 as their runs, against plain per-state ``extract_features``.  The rank table of
-one scoring is compared with a plain loop that calls the ranker on every state.
+one scoring is compared with a plain loop that calls the ranker on every state,
+and scoring's reports with the public audit of that loop's streams.
 The ideal feature kernel and the chart, which take each monomial's facts and
 image from the per-monomial memos ``features._monomial_facts`` and
 ``simulator._rewrite``, are compared with the plain per-feature kernel and
@@ -19,6 +20,7 @@ the plain rewrite in ``oracles.py``.
 from __future__ import annotations
 
 import gc
+import json
 import math
 import struct
 import sys
@@ -270,8 +272,10 @@ def test_fixed_point_tail_is_kept_as_a_count():
 @pytest.fixture
 def cold_memos():
     """Clear every process-wide memo: a warm feature stream or run skips the
-    ideal memos, whose misses the tests below count.  A stream lives as long
-    as its run, so clearing the run memo drops the streams."""
+    ideal memos, whose misses the tests below count, and a warm rank table
+    skips the ranker.  A stream lives as long as its run, so clearing the run
+    memo drops the streams."""
+    harness._tables.clear()
     simulator._chart.cache_clear()
     features._ideal_features.cache_clear()
     simulator._rewrite.cache_clear()
@@ -293,9 +297,10 @@ def test_cold_memos_clears_every_memo(request):
         features._monomial_facts,
         simulator._held_run,
     )
-    assert harness._streams and all(memo.cache_info().currsize for memo in memos)
+    assert harness._streams and harness._tables
+    assert all(memo.cache_info().currsize for memo in memos)
     request.getfixturevalue("cold_memos")
-    assert not harness._streams
+    assert not harness._streams and not harness._tables
     assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
@@ -548,6 +553,53 @@ def _raises_on_some(fv):
     return (fv[0], fv[25], 1)
 
 
+class _Big(int):
+    """An int subclass, which the rank gate checks without a float conversion."""
+
+
+def _raise(rank):
+    raise ArithmeticError("no rank")
+
+
+#: What a ranker may hand back for its rank r: ranks the gate refuses (None,
+#: NaN, inf, bool, a shorter rank, an empty tuple), a raise, and forms it
+#: reads as a rank (an int subclass past the float range, a list, a one-shot
+#: generator)
+_RANK_FORMS = {
+    "none": lambda r: None,
+    "nan": lambda r: r[:1] + (math.nan,) + r[2:],
+    "inf": lambda r: r[:1] + (-math.inf,) + r[2:],
+    "bool": lambda r: r[:1] + (True,) + r[2:],
+    "big": lambda r: r[:1] + (_Big(10**400),) + r[2:],
+    "list": list,
+    "short": lambda r: r[:-1],
+    "empty": lambda r: (),
+    "generator": lambda r: (v for v in r),
+    "raises": _raise,
+}
+
+
+class _StateCase:
+    """A suite case over a given initial state."""
+
+    def __init__(self, name, state):
+        self.name = name
+        self._state = state
+
+    def initial_state(self):
+        return self._state
+
+
+def _plain_ranks(rank_with, fvs):
+    ranks = []
+    for fv in fvs:
+        try:
+            ranks.append(rank_with(fv))
+        except ArithmeticError:
+            ranks.append(None)
+    return ranks
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     initials=st.lists(
@@ -560,6 +612,7 @@ def _raises_on_some(fv):
     cap=st.sampled_from((0, 1, 30, 120)),
     kind=st.sampled_from(("zero_signs", "counted", "raises")),
     signed=st.booleans(),
+    forms=st.lists(st.sampled_from(sorted(_RANK_FORMS)), max_size=3),
 )
 # past 2**53, float() rounds tail masses that differ by exc to one f25: from
 # this state, the 7 prefix vectors are distinct and the 31 vectors at cap 30
@@ -569,16 +622,23 @@ def _raises_on_some(fv):
     cap=30,
     kind="counted",
     signed=False,
+    forms=["generator"],
 )
-def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
+def test_rank_table_matches_plain_loop(initials, cap, kind, signed, forms):
     calls = []
-    rank_fn = {"zero_signs": _reads_zero_signs, "raises": _raises_on_some}.get(kind)
+    rank_fn = {"zero_signs": _reads_zero_signs, "raises": _raises_on_some}.get(
+        kind, lambda fv: (fv[0], fv[14], fv[25])
+    )
 
     def ranker(fv):
         calls.append(fv)
-        if rank_fn is None:
-            return (fv[0], fv[14], fv[25])
         return rank_fn(fv)
+
+    def formed(fv):
+        # the ranker's rank, or one of the drawn forms of it, chosen by f25
+        rank = rank_fn(fv)
+        k = int(fv[25]) % (len(forms) + 1)
+        return rank if k == len(forms) else _RANK_FORMS[forms[k]](rank)
 
     extract = _signed_zero_features if signed else extract_features
     plain_features = []
@@ -586,13 +646,7 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
     for state in initials:
         fvs = [extract(s) for s in simulator._stepped(state, cap).states]
         plain_features.append(fvs)
-        ranks = []
-        for fv in fvs:
-            try:
-                ranks.append(ranker(fv))
-            except ArithmeticError:
-                ranks.append(None)
-        plain_ranks.append([_rank_hex(r) for r in ranks])
+        plain_ranks.append([_rank_hex(r) for r in _plain_ranks(ranker, fvs)])
 
     def distinct(streams):
         return len({struct.pack("26d", *fv) for fvs in streams for fv in fvs})
@@ -625,6 +679,17 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed):
                 for state, fvs, ranks in cases:
                     check(shifted, state, fvs, [shifted.shift_hex(r) for r in ranks])
                 assert len(calls) == want
+            # scoring audits the table's gated ranks; the plain loop's full
+            # streams, through the public audit, give the same reports, with
+            # the formed ranker's table cold and then warm
+            suite = [_StateCase(f"case{i}", state) for i, state in enumerate(initials)]
+            want = [
+                json.dumps(audit_trajectory(_plain_ranks(formed, fvs), fvs, cfg, c.name).report.to_json_dict())
+                for c, fvs in zip(suite, plain_features)
+            ]
+            for _ in range(2):
+                reports = score_benchmark(formed, suite, cfg).reports
+                assert [json.dumps(r.to_json_dict()) for r in reports] == want
         assert len(harness._streams) == len({(s, cap) for s in initials if cap <= DEFAULT_CAP})
         assert _streams_match_their_runs(extract)
     finally:
