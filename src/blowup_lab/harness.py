@@ -247,14 +247,16 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
 
 
 #: Each run's prefix by Trajectory object, as (its feature vectors, the tuples
-#: extract_features returned; the first 25 doubles of each vector as bytes):
-#: an entry lives exactly as long as its run.  The heads are rank-table keys,
-#: held with the run so that each is built and hashed once.
+#: extract_features returned; every state's rank-table key): an entry lives
+#: exactly as long as its run.  A key is (the first 25 doubles as bytes, f25),
+#: and a tail's keys share its entry vector's bytes; f25, the float of a
+#: non-negative int, is never -0.0 or NaN, so equal keys are equal bits.
 _streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
 
-#: Rank tables by ranker id, as [a weak reference to the ranker, its table,
-#: the ranks the table holds]: an entry goes when its ranker dies.
+#: Rank tables by ranker id, as (a weak reference to the ranker, a dict from
+#: key to gated rank): an entry goes when its ranker dies, or when a call
+#: leaves it holding more than MONOMIAL_MEMO_ENTRIES ranks.
 _tables: dict = {}
 
 
@@ -266,87 +268,75 @@ class _GatedRanks(list):
 def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     """Run a trajectory and evaluate features and ranks along it.
 
-    Ranker crashes are recorded as None ranks, which the audit treats as
-    structural failures; a malformed rank is given as the ranker returned it,
-    and a well-formed one as a tuple.  Features are extracted on the
-    trajectory's prefix only: on its V(z) tail the ideal and the base
-    multiplicities are fixed, so each tail vector is the last prefix vector
-    with the boundary mass f25 raised by the exceptional exponent per step.
-    A run's prefix is extracted once and its vectors are kept as long as the
-    run, so at a cap up to DEFAULT_CAP, where run_trajectory hands back one
-    run per case, a case is extracted once per process.  run_trajectory is
-    called on every call.
+    Ranker crashes, and ranks that raise while read, are recorded as None
+    ranks, which the audit treats as structural failures; a malformed rank is
+    given as the ranker returned it, and a well-formed one as a tuple.
+    Features are extracted on the trajectory's prefix only: on its V(z) tail
+    the ideal and the base multiplicities are fixed, so each tail vector is
+    the last prefix vector with the boundary mass f25 raised by the
+    exceptional exponent per step.  A run's prefix is extracted once and its
+    vectors are kept as long as the run, so at a cap up to DEFAULT_CAP, where
+    run_trajectory hands back one run per case, a case is extracted once per
+    process.  run_trajectory is called on every call.
 
     Every state gets its rank from the ranker's rank table (see
     score_benchmark), so the ranker, which must be pure, is called once per
     bit-distinct vector it has not ranked yet.
     """
-    (trajectory, vectors, masses, ranks), = _with_rank_table(
-        ranker, lambda table: [_rank_run(initial, ranker, cfg, table)]
-    )
+    table = _rank_table(ranker)
+    try:
+        trajectory, vectors, keys, ranks = _rank_run(initial, ranker, cfg, table)
+    finally:
+        if len(table) > MONOMIAL_MEMO_ENTRIES:
+            _tables.pop(id(ranker), None)
     entry = vectors[-1][:25]
-    features = list(vectors) + [entry + (f25,) for f25 in masses[len(vectors) :]]
+    features = list(vectors) + [entry + (f25,) for _, f25 in keys[len(vectors) :]]
     return trajectory, features, [r[0] if type(r) is list else r for r in ranks]
 
 
 def _rank_run(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
-    # Gives ((trajectory, prefix vectors, every state's f25, _GatedRanks), the
-    # ranks added to table).  table maps the first 25 doubles, as bytes, to a
-    # dict from f25 to the gated rank; f25, the float of a non-negative int, is
-    # never -0.0 or NaN, so equal keys are equal bits.  A tail shares its entry
-    # vector's head, and a tail vector is built only when the ranker is called
+    # Gives (trajectory, prefix vectors, every state's key, _GatedRanks); a
+    # tail vector is built only when the ranker is called on it
     trajectory = run_trajectory(initial, cfg.cap)
     held = _streams.get(trajectory)
     if held is None:
         vectors = tuple([extract_features(s) for s in trajectory.prefix])
-        heads = tuple([_HEAD.pack(*fv[:25]) for fv in vectors])
-        held = _streams[trajectory] = (vectors, heads)
-    vectors, heads = held
-    masses = [fv[25] for fv in vectors]
-    # the inner rank dict of each state: one per head, so a tail shares its
-    # entry vector's; `or` takes an empty dict another thread just added
-    rank_dicts = [table.get(head) or table.setdefault(head, {}) for head in heads]
-    tail_len = trajectory.tail_len
-    if tail_len:
-        mass = trajectory.prefix[-1].boundary.mass
-        exc = trajectory.excs[-1]
-        masses += [float(mass + j * exc) for j in range(1, tail_len + 1)]
-        rank_dicts += rank_dicts[-1:] * tail_len
-    ranks = _GatedRanks(map(dict.get, rank_dicts, masses))
-    ranked = 0
+        keys = [(_HEAD.pack(*fv[:25]), fv[25]) for fv in vectors]
+        if trajectory.tail_len:
+            head = keys[-1][0]
+            mass = trajectory.prefix[-1].boundary.mass
+            exc = trajectory.excs[-1]
+            keys += [(head, float(mass + j * exc)) for j in range(1, trajectory.tail_len + 1)]
+        held = _streams[trajectory] = (vectors, keys)
+    vectors, keys = held
+    ranks = _GatedRanks(map(table.get, keys))
     for t in [t for t, rank in enumerate(ranks) if rank is None]:
-        by_mass, f25 = rank_dicts[t], masses[t]
-        rank = by_mass.get(f25)  # an earlier state of this call may have added it
+        key = keys[t]
+        rank = table.get(key)  # an earlier state of this call may have added it
         if rank is None:
-            fv = vectors[t] if t < len(vectors) else vectors[-1][:25] + (f25,)
+            fv = vectors[t] if t < len(vectors) else vectors[-1][:25] + (key[1],)
             try:
                 raw = ranker(fv)
+                # gated once: an exact well-formed tuple is its own gated form
+                rank = _as_rank(raw) or [raw]
             except Exception:
-                raw = None
-            # gated once: an exact well-formed tuple is its own gated form
-            rank = by_mass[f25] = _as_rank(raw) or [raw]
-            ranked += 1
+                rank = [None]
+            table[key] = rank
         ranks[t] = rank
-    return (trajectory, vectors, masses, ranks), ranked
+    return trajectory, vectors, keys, ranks
 
 
-def _with_rank_table(ranker: Callable, rank_all: Callable[[dict], list]) -> tuple:
-    # rank_all(table) gives [(result, ranks it added)]; the ranker's table is
-    # taken out, and put back unless the call raised or took it past the bound
+def _rank_table(ranker: Callable) -> dict:
+    # the ranker's table, found by identity; a ranker that takes no weak
+    # reference gets a fresh table, kept nowhere
     key = id(ranker)
-    held = _tables.pop(key, None)
+    held = _tables.get(key)
     if held is None or held[0]() is not ranker:
-        held = [None, {}, 0]
-    results, ranked = zip(*rank_all(held[1]))
-    held[2] += sum(ranked)
-    if held[2] <= MONOMIAL_MEMO_ENTRIES:
         try:
-            if held[0] is None:
-                held[0] = weakref.ref(ranker, lambda _: _tables.pop(key, None))
-            _tables[key] = held
-        except TypeError:  # the ranker takes no weak reference
-            pass
-    return results
+            held = _tables[key] = (weakref.ref(ranker, lambda _: _tables.pop(key, None)), {})
+        except TypeError:
+            return {}
+    return held[1]
 
 
 @dataclass(frozen=True)
@@ -388,8 +378,8 @@ class SuiteReport:
         }
 
 
-def _score_one(case, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
-    (_, vectors, _, ranks), ranked = _rank_run(case.initial_state(), ranker, cfg, table)
+def _score_one(case, ranker: Callable, cfg: HarnessConfig, table: dict) -> ViolationReport:
+    _, vectors, _, ranks = _rank_run(case.initial_state(), ranker, cfg, table)
     report = audit_trajectory(ranks, vectors, cfg, name=case.name).report
     # purity gate: a ranker that fails the determinism probe is structurally
     # broken even if each single evaluation looks fine
@@ -400,7 +390,7 @@ def _score_one(case, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple
             structural_failure=True,
             solved=False,
         )
-    return report, ranked
+    return report
 
 
 def score_benchmark(
@@ -415,30 +405,34 @@ def score_benchmark(
 
     Cases are independent; with workers > 1 they are evaluated concurrently
     and reassembled in suite order, so the report is deterministic either
-    way.  The cases share the rank table of the ranker object, keyed by its
-    identity, never by equality: the ranker is called once per bit-distinct
-    feature vector it has not ranked (a race between threads may call it
-    twice), plus the purity probe's two calls per case.  The table is kept
-    while the object lives and the table holds at most MONOMIAL_MEMO_ENTRIES
-    ranks; a ranker that takes no weak reference gets a fresh one per call.
-    A rank is gated once, when it enters the table, and each case is audited
-    on its gated ranks and its prefix vectors, so a tail vector is built only
-    when the ranker is called on it.
+    way.  The cases, and concurrent calls, share the rank table of the ranker
+    object, found by identity, never by equality: the ranker is called once
+    per bit-distinct feature vector it has not ranked (threads that reach one
+    at once may each call it), plus the purity probe's two calls per case.
+    The table is kept while the object lives, ranks of a call that raised
+    included, and dropped when a call leaves it holding more than
+    MONOMIAL_MEMO_ENTRIES ranks; a ranker that takes no weak reference gets a
+    fresh one per call.  A rank is gated once, when it enters the table, and
+    each case is audited on its gated ranks and its prefix vectors, so a tail
+    vector is built only when the ranker is called on it.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")
 
-    def score_all(table: dict) -> list:
+    table = _rank_table(ranker)
+    try:
         if workers <= 1:
-            return [_score_one(case, ranker, cfg, table) for case in cases]
-        # imported here: concurrent.futures brings logging and queue, which a
-        # serial scoring never uses
-        from concurrent.futures import ThreadPoolExecutor
+            reports = [_score_one(case, ranker, cfg, table) for case in cases]
+        else:
+            # imported here: concurrent.futures brings logging and queue, which
+            # a serial scoring never uses
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
-
-    reports = _with_rank_table(ranker, score_all)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
+    finally:
+        if len(table) > MONOMIAL_MEMO_ENTRIES:
+            _tables.pop(id(ranker), None)
 
     total = sum(r.total_violations for r in reports)
     staged = 0.0

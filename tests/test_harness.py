@@ -296,6 +296,22 @@ def test_one_shot_ranks_score_as_tuples(suite_focused71, default_cfg):
         assert score_benchmark(form, suite_focused71, default_cfg, ranker_name="disc_lex") == want
 
 
+def test_rank_that_raises_while_read_is_a_crash(suite_focused71, default_cfg):
+    # the rank is read where the ranker is called: a generator that raises
+    # part-way through is a crash of that case, not of the whole scoring
+    disc = get_ranker("disc_lex")
+
+    def cut_short(fv):
+        yield from disc(fv)[:2]
+        raise ValueError("boom")
+
+    cases = suite_focused71[:3]
+    report = score_benchmark(cut_short, cases, default_cfg)
+    assert [r.structural_failure for r in report.reports] == [True] * 3
+    _, _, ranks = simulate_case(cases[0].initial_state(), cut_short, default_cfg)
+    assert all(r is None for r in ranks)
+
+
 def test_scoring_calls_the_timed_hooks_once_per_case(suite_focused71, default_cfg):
     # the benchmark times each case from its harness.run_trajectory call, and
     # its tracer wraps these module attributes

@@ -25,6 +25,7 @@ import math
 import struct
 import sys
 import weakref
+from collections.abc import Iterator
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -159,6 +160,17 @@ def _case_states(draw):
 
 
 _INITIAL_STATES = [case.initial_state() for case in _CASES]
+# its run never repeats an ideal, and its features overflow within cap 4096
+_OVERFLOWS = State(
+    IdealSpec(
+        tuple(
+            TaggedMonomial(MIXED, e)
+            for e in ((3, 0, 3), (6, 6, 2), (1, 1, 2), (0, 3, 1), (3, 0, 3), (0, 5, 4))
+        )
+    ),
+    Boundary((0, 0, 0)),
+    VariableSet(("x", "y", "z"), 2),
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,6 +185,7 @@ _INITIAL_STATES = [case.initial_state() for case in _CASES]
     ranker=st.sampled_from(ranker_names()),
 )
 @example(state=_NEVER_REPEATS[0].initial_state(), cap=120, ranker="disc_lex")
+@example(state=_OVERFLOWS, cap=4096, ranker="two_component")
 def test_compact_tail_matches_plain_loop(state, cap, ranker):
     # simulate_case runs cold (the streams cleared, and a fresh copy of the
     # ranker, so its rank table too), then warm, then with the builtin ranker,
@@ -191,7 +204,14 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
     rank_fn = get_ranker(ranker)
     cfg = HarnessConfig(cap=cap)
     harness._streams.clear()
-    plain_features = [extract_features(s) for s in states]
+    try:
+        plain_features = [extract_features(s) for s in states]
+    except OverflowError:
+        # a run whose exponents grow at every step outgrows a double: scoring
+        # raises as the plain loop does
+        with pytest.raises(OverflowError):
+            simulate_case(state, rank_fn, cfg)
+        return
     plain_ranks = []
     for fv in plain_features:
         try:
@@ -212,16 +232,22 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
 
 
 def _streams_match_their_runs(extract=extract_features):
-    # one held vector and one rank-table head per prefix state: each vector is
-    # the tuple a fresh extraction gives, bit for bit (the sign of zero too),
-    # and each head is that vector's first 25 doubles, packed
-    return all(
-        len(vectors) == len(heads) == len(run.prefix)
-        and all(type(fv) is tuple for fv in vectors)
-        and [_hex(fv) for fv in vectors] == [_hex(extract(s)) for s in run.prefix]
-        and list(heads) == [struct.pack("25d", *fv[:25]) for fv in vectors]
-        for run, (vectors, heads) in harness._streams.items()
-    )
+    # each held run, handed back by run_trajectory, gives simulate_case the
+    # tuples a fresh extraction of its states gives, bit for bit (the sign of
+    # zero too); and a ranker that returns its own vector gets each state's
+    # vector back, so the rank-table keys held with the run match its states
+    for run in list(harness._streams):
+        states = list(run.prefix)
+        for _ in range(run.tail_len):
+            states.append(simulator.step(states[-1])[0])
+        want = [_hex(extract(s)) for s in states]
+        with patch.object(harness, "run_trajectory", lambda initial, cap: run):
+            _, fvs, ranks = simulate_case(run.prefix[0], lambda fv: fv, HarnessConfig())
+        if not all(type(fv) is tuple for fv in fvs) or not (
+            [_hex(fv) for fv in fvs] == want == [_hex(r) for r in ranks]
+        ):
+            return False
+    return True
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,7 +332,7 @@ def test_cold_memos_clears_every_memo(request):
 
 def _held_vectors():
     assert _streams_match_their_runs()
-    return sum(len(vectors) for vectors, _ in harness._streams.values())
+    return sum(len(run.prefix) for run in harness._streams)
 
 
 def test_returned_streams_are_the_callers_own(cold_memos):
@@ -448,6 +474,13 @@ def test_threads_share_the_stream_memo(cold_memos):
     assert simulator._held_run.cache_info().currsize <= MEMO_ENTRIES
     assert _streams_match_their_runs()
 
+    # focused71 at cap 4096 has 8,343 bit-distinct vectors: threads share one
+    # table past its bound, which the call drops when it returns
+    disc = get_ranker("disc_lex")
+    cfg = HarnessConfig(cap=4096)
+    serial = score_benchmark(replace(disc), focused71(), cfg)
+    assert score_benchmark(replace(disc), focused71(), cfg, workers=2) == serial
+
 
 def test_stream_memo_holds_at_most_its_vector_budget(cold_memos):
     # the two broad24 cases that never repeat an ideal have an 8,001-state
@@ -561,10 +594,15 @@ def _raise(rank):
     raise ArithmeticError("no rank")
 
 
+def _cut_short(rank):
+    yield from rank[:2]
+    raise ArithmeticError("rank cut short")
+
+
 #: What a ranker may hand back for its rank r: ranks the gate refuses (None,
-#: NaN, inf, bool, a shorter rank, an empty tuple), a raise, and forms it
-#: reads as a rank (an int subclass past the float range, a list, a one-shot
-#: generator)
+#: NaN, inf, bool, a shorter rank, an empty tuple), a raise, a generator that
+#: raises while it is read, and forms the gate reads as a rank (an int
+#: subclass past the float range, a list, a one-shot generator)
 _RANK_FORMS = {
     "none": lambda r: None,
     "nan": lambda r: r[:1] + (math.nan,) + r[2:],
@@ -576,6 +614,7 @@ _RANK_FORMS = {
     "empty": lambda r: (),
     "generator": lambda r: (v for v in r),
     "raises": _raise,
+    "cut_short": _cut_short,
 }
 
 
@@ -591,10 +630,13 @@ class _StateCase:
 
 
 def _plain_ranks(rank_with, fvs):
+    # a one-shot rank is read inside the try, so one that raises while it is
+    # read is a crash
     ranks = []
     for fv in fvs:
         try:
-            ranks.append(rank_with(fv))
+            rank = rank_with(fv)
+            ranks.append(tuple(rank) if isinstance(rank, Iterator) else rank)
         except ArithmeticError:
             ranks.append(None)
     return ranks
@@ -768,17 +810,18 @@ def test_each_scoring_ranks_each_bit_distinct_vector_once(suite, cap, distinct):
 
 # Rank-table lifetime: a table is kept by ranker identity for as long as the
 # ranker lives, and between calls holds at most MONOMIAL_MEMO_ENTRIES ranks.
+# Each test reads it through a ranker's calls and liveness.
 
 
-def _tables_within_bound():
-    # each kept table's ranker is alive, and its count is at least the ranks
-    # it holds (threads that race on one vector both count it) and at most
-    # the bound
-    return all(
-        ref() is not None
-        and sum(len(by_mass) for by_mass in table.values()) <= ranks <= MONOMIAL_MEMO_ENTRIES
-        for ref, table, ranks in harness._tables.values()
-    )
+def _counted(rank_fn):
+    # a ranker that records each vector it is called on
+    calls = []
+
+    def counted(fv):
+        calls.append(fv)
+        return rank_fn(fv)
+
+    return counted, calls
 
 
 def test_each_candidate_table_lasts_one_evaluation():
@@ -804,43 +847,71 @@ def test_each_candidate_table_lasts_one_evaluation():
     gc.collect()
     assert len(candidates) == len(held_after_scoring) == 6 and all(held_after_scoring)
     assert all(ref() is None for ref in candidates)
-    # every table left has a live ranker, and none is new
-    assert set(harness._tables) <= before and _tables_within_bound()
+    assert set(harness._tables) <= before
 
 
 def test_rank_table_goes_with_its_ranker():
-    ranker = replace(get_ranker("disc_lex"))
-    key = id(ranker)
-    score_benchmark(ranker, broad24(), HarnessConfig())
-    ref, table, ranks = harness._tables[key]
-    assert ref() is ranker and ranks == sum(map(len, table.values())) == 270
-    assert _tables_within_bound()
-    del ranker
-    assert key not in harness._tables
+    # broad24 has 270 bit-distinct vectors: a second scoring with one object
+    # calls it only for the probe, an equal object has a table of its own,
+    # and no table keeps its ranker alive
+    counted, calls = _counted(get_ranker("disc_lex"))
+    cases = broad24()
+    first, equal = _EqualRanker(counted, 0), _EqualRanker(counted, 0)
+    for ranker, ranked in ((first, 270), (first, 0), (equal, 270), (equal, 0)):
+        calls.clear()
+        score_benchmark(ranker, cases, HarnessConfig())
+        assert len(calls) == ranked + 2 * len(cases)
+    refs = [weakref.ref(first), weakref.ref(equal)]
+    del first, equal, ranker
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_rank_table_past_its_bound_is_dropped_on_return():
     # focused71 at cap 4096 has 8,343 bit-distinct vectors: the bound is
     # checked once the call returns, so within the call each is ranked once,
     # and the table is then dropped, so the next call ranks them all again
-    rank_fn = get_ranker("disc_lex")
-    calls = []
-
-    def counted(fv):
-        calls.append(fv)
-        return rank_fn(fv)
-
+    counted, calls = _counted(get_ranker("disc_lex"))
     cases = focused71()
     cfg = HarnessConfig(cap=4096)
     first = score_benchmark(counted, cases, cfg)
     assert (first.solved_count, first.total_violations) == (2, 175390)
     assert len(calls) == 8343 + 2 * len(cases)
-    assert id(counted) not in harness._tables
-    assert _tables_within_bound()
     calls.clear()
     assert score_benchmark(counted, cases, cfg) == first
     assert len(calls) == 8343 + 2 * len(cases)
-    assert id(counted) not in harness._tables
+
+
+def test_call_that_raises_keeps_its_ranks():
+    # the suite ends in a case whose initial features overflow, so the call
+    # raises there; a second call over the cases before it finds every rank
+    # the first one made, and calls the ranker only for the probe
+    counted, calls = _counted(get_ranker("disc_lex"))
+    cases = focused71()
+    huge = parse_polynomial(f"z^3 + x^{10**320}", _VARS4)
+    overflows = _StateCase("overflows", State.initial(huge, _VARS4))
+    with pytest.raises(OverflowError):
+        score_benchmark(counted, cases + (overflows,), HarnessConfig())
+    assert len(calls) == 211 + 2 * len(cases)
+    calls.clear()
+    report = score_benchmark(counted, cases, HarnessConfig(), ranker_name="disc_lex")
+    assert len(calls) == 2 * len(cases)
+    assert report == score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig())
+
+
+def test_held_and_unheld_runs_share_one_table():
+    # broad24's runs are held at cap 30 and not at cap 120, and each cap-30 run
+    # is the start of its cap-120 run: one object ranks the 270 vectors at
+    # cap 30, only the 630 new ones at cap 120, and none at cap 30 again, and
+    # gives the reports that fresh objects give
+    counted, calls = _counted(get_ranker("disc_lex"))
+    cases = broad24()
+    for cap, ranked in ((30, 270), (120, 630), (30, 0)):
+        cfg = HarnessConfig(cap=cap)
+        calls.clear()
+        report = score_benchmark(counted, cases, cfg, ranker_name="disc_lex")
+        assert len(calls) == ranked + 2 * len(cases)
+        assert report == score_benchmark(replace(get_ranker("disc_lex")), cases, cfg)
 
 
 def test_ranker_without_weak_references_gets_a_table_per_call():
