@@ -20,6 +20,7 @@ import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+from blowup_lab import features, simulator
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.features import NUM_FEATURES, extract_features
 from blowup_lab.rankers import get_ranker
@@ -258,6 +259,43 @@ _HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
 #: key to gated rank): an entry goes when its ranker dies, or when a call
 #: leaves it holding more than MONOMIAL_MEMO_ENTRIES ranks.
 _tables: dict = {}
+
+
+#: The process-wide lru_caches, each with the name memos() reports it under.
+_CACHES = (
+    ("chart", simulator._chart),
+    ("rewrite", simulator._rewrite),
+    ("runs", simulator._held_run),
+    ("monomial_facts", features._monomial_facts),
+    ("ideal_features", features._ideal_features),
+)
+
+
+def memos() -> dict[str, tuple]:
+    """Each process-wide memo's (entries, bound, hits, misses), by name.
+
+    The five lru_caches report their cache_info().  "streams" counts the runs
+    whose prefix vectors and rank-table keys are held; an entry lives as long
+    as its run, so it has no bound of its own.  "rank_tables" counts the ranks
+    of every live ranker's table, each of which a call leaves holding at most
+    MONOMIAL_MEMO_ENTRIES.  Neither counts hits or misses.
+    """
+    report = {}
+    for name, cache in _CACHES:
+        info = cache.cache_info()
+        report[name] = (info.currsize, info.maxsize, info.hits, info.misses)
+    report["streams"] = (len(_streams), None, None, None)
+    ranks = sum(len(table) for _, table in list(_tables.values()))
+    report["rank_tables"] = (ranks, MONOMIAL_MEMO_ENTRIES, None, None)
+    return report
+
+
+def clear_memos() -> None:
+    """Empty every memo that memos() reports."""
+    for _, cache in _CACHES:
+        cache.cache_clear()
+    _streams.clear()
+    _tables.clear()
 
 
 class _GatedRanks(list):

@@ -148,8 +148,7 @@ def step(state: State) -> tuple[State, Center, int]:
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]:
     # the part of step() that reads only the ideal: (rewritten ideal, center,
-    # exceptional exponent), each monomial's image taken from _rewrite; a
-    # fixed-ideal tail maps its ideal to one shared IdealSpec object
+    # exceptional exponent), each monomial's image taken from _rewrite
     exc = exceptional_exponent(ideal)
     center = ideal_center(ideal, vars)
     v = center.var_index
@@ -248,9 +247,7 @@ def _stepped(initial: State, cap: int) -> Trajectory:
             states.append(current)
             centers.append(center)
             excs.append(exc)
-            # the memoized chart hands a fixed ideal back as the very object it
-            # was given, which already failed the check one step earlier
-            if current.ideal is previous:
+            if current.ideal == previous:
                 if center.kind == DIVISOR_Z:
                     tail_len = cap - k - 1
                     break

@@ -1,20 +1,39 @@
-"""Plain, unmemoized forms of the per-monomial kernels, kept as test oracles.
+"""Plain, unmemoized forms of the simulator, the features and scoring, kept as
+test oracles.
 
 ``plain_ideal_features`` computes every boundary-free feature straight from
 the exponent vectors, feature by feature, and ``plain_chart`` rewrites every
-monomial of an ideal in place; the package computes each monomial's feature
-facts and chart image once (``features._monomial_facts``,
-``simulator._rewrite``) and aggregates them per ideal.  Both oracles read
-``features.hilbert_samuel_base`` and the simulator helpers through their
+monomial of an ideal in place, where the package works out each distinct
+monomial's feature facts and chart image once and aggregates them per ideal.
+``plain_run`` steps with ``plain_chart`` to the cap, checking for monomial
+phase after every step and keeping every state, where ``run_trajectory``
+keeps a fixed-ideal V(z) tail as a count.  ``plain_score`` extracts every
+state's features with ``plain_features``, calls the ranker on every state and
+audits with the public ``audit_trajectory``, where ``score_benchmark`` ranks
+each bit-distinct vector once per ranker object and derives a tail's vectors
+by arithmetic.  No oracle reads or fills a memo that ``memos()`` reports; they
+read ``features.hilbert_samuel_base`` and the simulator helpers through their
 modules, as the package does.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+from dataclasses import replace
+
 from blowup_lab import features
-from blowup_lab.core import MIXED, OBLIQUE, IdealSpec, State, TaggedMonomial, VariableSet
-from blowup_lab.features import JACOBIAN_SENTINEL
+from blowup_lab.core import MIXED, OBLIQUE, Boundary, IdealSpec, State, TaggedMonomial, VariableSet
+from blowup_lab.features import JACOBIAN_SENTINEL, NUM_FEATURES
+from blowup_lab.harness import (
+    STAGES,
+    STRUCTURAL_PENALTY,
+    SuiteReport,
+    audit_trajectory,
+    check_determinism,
+)
 from blowup_lab.simulator import (
+    CODIM2,
     exceptional_exponent,
     is_monic_z_power,
     is_monomial_phase,
@@ -52,7 +71,9 @@ def plain_weighted_order_terms(ideal: IdealSpec, exc: int) -> tuple:
 
 
 def plain_ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple:
-    """features._ideal_features, one feature at a time over the exponent vectors."""
+    """The boundary-free part of extract_features (the 26 entries with f4, f8,
+    f14 and f25 at 0.0, the base exponents of the monomials of degree exc, and
+    the f14 terms), one feature at a time over the exponent vectors."""
     p = vars.char_p
     z = vars.elim_index
     base_idx = vars.base_indices
@@ -156,7 +177,8 @@ def plain_ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple:
 
 
 def plain_chart(ideal: IdealSpec, vars: VariableSet) -> tuple:
-    """simulator._chart with every monomial rewritten in place."""
+    """(the ideal after one step, the center, the exceptional exponent), with
+    every monomial rewritten in place."""
     exc = exceptional_exponent(ideal)
     center = select_center(State.initial(ideal, vars))
     v = center.var_index
@@ -170,3 +192,101 @@ def plain_chart(ideal: IdealSpec, vars: VariableSet) -> tuple:
         if any(e):
             transformed.append(TaggedMonomial(tag=m.tag, exponents=tuple(e)))
     return IdealSpec(tuple(transformed)), center, exc
+
+
+def plain_step(state: State) -> tuple:
+    """simulator.step over plain_chart."""
+    ideal, center, exc = plain_chart(state.ideal, state.vars)
+    v = center.var_index
+    keep = {v, state.vars.elim_index} if center.kind == CODIM2 else {state.vars.elim_index}
+    mult = [m if i in keep else 0 for i, m in enumerate(state.boundary.multiplicities)]
+    mult[v] += exc
+    return State(ideal, Boundary(tuple(mult)), state.vars), center, exc
+
+
+def plain_run(initial: State, cap: int) -> tuple:
+    """(states, centers, excs, monomial step or None) of run_trajectory as a
+    plain loop: every state is stepped out, and monomial phase is checked
+    after every step, steps that keep the ideal included."""
+    states, centers, excs = [initial], [], []
+    if is_monomial_phase(initial.ideal):
+        return states, centers, excs, 0
+    for k in range(cap):
+        current, center, exc = plain_step(states[-1])
+        states.append(current)
+        centers.append(center)
+        excs.append(exc)
+        if is_monomial_phase(current.ideal):
+            return states, centers, excs, k + 1
+    return states, centers, excs, None
+
+
+def plain_features(state: State) -> tuple:
+    """extract_features from plain_ideal_features and the four boundary
+    features f4, f8, f14 and f25."""
+    if not state.ideal:
+        return tuple(1.0 if i == 9 else 0.0 for i in range(NUM_FEATURES))
+    values, min_base, terms = plain_ideal_features(state.ideal, state.vars)
+    mult = state.boundary.multiplicities
+    base = mult[:-1]
+    fv = list(values)
+    fv[4] = float(sum(1 for m in mult if m > 0))
+    fv[8] = float(min(sum(min(a, b) for a, b in zip(e, base)) for e in min_base))
+    fv[14] = min(
+        (sum(a - b for a, b in zip(e, base) if a > b) / divisor for e, divisor in terms),
+        default=0.0,
+    )
+    fv[25] = float(sum(mult))
+    return tuple(fv)
+
+
+def plain_ranks(ranker, fvs) -> list:
+    """The ranker's rank of every vector, None where it raises; a one-shot
+    rank is read inside the try, so one that raises while read is a crash."""
+    ranks = []
+    for fv in fvs:
+        try:
+            rank = ranker(fv)
+            ranks.append(tuple(rank) if isinstance(rank, Iterator) else rank)
+        except Exception:
+            ranks.append(None)
+    return ranks
+
+
+def plain_score(ranker, cases, cfg) -> SuiteReport:
+    """score_benchmark over plain_run, plain_features and plain_ranks: each
+    case's full streams go through the public audit and the purity probe, and
+    the reports are aggregated as score_benchmark aggregates them."""
+    reports = []
+    for case in cases:
+        fvs = [plain_features(s) for s in plain_run(case.initial_state(), cfg.cap)[0]]
+        report = audit_trajectory(plain_ranks(ranker, fvs), fvs, cfg, name=case.name).report
+        if not report.structural_failure and not check_determinism(ranker, fvs[0]):
+            report = replace(
+                report,
+                total_violations=report.total_violations + STRUCTURAL_PENALTY,
+                structural_failure=True,
+                solved=False,
+            )
+        reports.append(report)
+
+    # left-to-right float sums, as score_benchmark's
+    staged = penalty = 0.0
+    for prefix, weight in STAGES:
+        staged += weight * sum(r.total_violations for r in reports[:prefix])
+    for r in reports:
+        penalty += math.tanh(r.total_violations / 10.0)
+    solved = sum(1 for r in reports if r.solved)
+    return SuiteReport(
+        suite="suite",
+        ranker=getattr(ranker, "name", ranker.__class__.__name__),
+        window=cfg.window,
+        cap=cfg.cap,
+        reports=tuple(reports),
+        total_violations=sum(r.total_violations for r in reports),
+        staged_violations=staged,
+        solved_count=solved,
+        local_increases_total=sum(r.local_increases for r in reports),
+        max_plateau=max(r.max_plateau for r in reports),
+        saturated_score=2.0 * solved - penalty,
+    )

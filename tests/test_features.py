@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab import features
+from blowup_lab import clear_memos
 from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.cli import main
 from blowup_lab.core import (
@@ -347,6 +347,10 @@ def _named_vars(dim):
     return VariableSet(tuple(f"x{i}" for i in range(dim - 1)) + ("z",), 3)
 
 
+def _extract_initial(ideal, vars):
+    return extract_features(State.initial(ideal, vars))
+
+
 def _outcome(kernel, ideal, vars):
     try:
         kernel(ideal, vars)
@@ -367,7 +371,7 @@ def test_out_of_range_features_raise_as_the_plain_kernel(capsys, tmp_path, poly,
     ideal = parse_polynomial(poly, vars)
     want = _outcome(plain_ideal_features, ideal, vars)
     assert want is not None and want[0] == "OverflowError"
-    assert _outcome(features._ideal_features.__wrapped__, ideal, vars) == want
+    assert _outcome(_extract_initial, ideal, vars) == want
 
     path = tmp_path / "probe.json"
     entry = {"name": "probe", "p": 3, "dim": dim, "vars": list(vars.names), "poly": poly}
@@ -384,9 +388,8 @@ def test_padic_depth_of_a_huge_exponent_is_cheap(vars4):
     # x's exponent 3^700 has p-adic valuation 700; the valuation is taken once
     # per distinct monomial, from cold memos here
     ideal = parse_polynomial(f"z^3 + x^{3**700}", vars4)
-    features._monomial_facts.cache_clear()
-    features._ideal_features.cache_clear()
+    clear_memos()
     start = time.perf_counter()
-    got = _outcome(features._ideal_features, ideal, vars4)
+    got = _outcome(_extract_initial, ideal, vars4)
     assert time.perf_counter() - start < 0.25
     assert got == _outcome(plain_ideal_features, ideal, vars4)

@@ -1,31 +1,28 @@
-"""Differential tests of the ideal-keyed memos against the plain computation.
+"""The process-wide memos leave every result unchanged, read through public
+observables only.
 
-The uncached path is the memoized function's own ``__wrapped__``, swapped in
-for the module attribute its caller looks up, so both sides run the same
-code and differ only in the memo.  Trajectories are also compared with a
-plain loop that steps to the cap and checks for monomial phase after every
-step, where ``run_trajectory`` stops at a fixed-ideal V(z) tail and
-``simulate_case`` derives the tail's features by arithmetic.  The run memo
-``simulator._held_run`` is compared cold and warm against its plain loop,
-``simulator._stepped``, and the harness's feature streams, which live as long
-as their runs, against plain per-state ``extract_features``.  The rank table of
-one scoring is compared with a plain loop that calls the ranker on every state,
-and scoring's reports with the public audit of that loop's streams.
-The ideal feature kernel and the chart, which take each monomial's facts and
-image from the per-monomial memos ``features._monomial_facts`` and
-``simulator._rewrite``, are compared with the plain per-feature kernel and
-the plain rewrite in ``oracles.py``.
+Scoring is compared with the plain oracles in ``oracles.py``, which step,
+extract and rank every state with no memo: ``score_benchmark`` with
+``plain_score`` cold and warm, runs with ``plain_run``, extracted features
+with ``plain_features``, and the ideal feature kernel and the chart with the
+plain per-feature kernel and the plain rewrite.  How much a memo holds, and
+how long, is read from ``memos()`` after ``clear_memos()``, from how often a
+ranker, ``run_trajectory`` or ``extract_features`` is called, and from
+whether a ranker is still alive after ``gc.collect()``.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
+import importlib
 import json
 import math
+import pkgutil
 import struct
 import sys
 import weakref
-from collections.abc import Iterator
+from collections.abc import Mapping
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -33,7 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowup_lab import features, harness, search, simulator
+import blowup_lab
+from blowup_lab import clear_memos, features, harness, memos, search, simulator
 from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.core import (
     MIXED,
@@ -62,10 +60,16 @@ from blowup_lab.simulator import (
     DEFAULT_CAP,
     MEMO_ENTRIES,
     MONOMIAL_MEMO_ENTRIES,
-    is_monomial_phase,
     run_trajectory,
 )
-from oracles import plain_chart, plain_ideal_features
+from oracles import (
+    plain_chart,
+    plain_features,
+    plain_ideal_features,
+    plain_ranks,
+    plain_run,
+    plain_score,
+)
 
 _TAGS = (PURE_Z, PURE_BASE, MIXED, OBLIQUE, "custom")
 
@@ -88,11 +92,6 @@ def _hex(fv):
     return [v.hex() for v in fv]
 
 
-def _key(state, cap):
-    # the run memo's key
-    return (state, cap)
-
-
 @settings(max_examples=300, deadline=None)
 @given(state=_states())
 def test_memoized_features_match_uncached(state):
@@ -102,34 +101,14 @@ def test_memoized_features_match_uncached(state):
     other_p = VariableSet(state.vars.names, 7)
     extract_features(State.initial(state.ideal, other_p))
     extract_features(State.initial(state.ideal, state.vars))
-    memoized = extract_features(state)
-    with patch.object(features, "_ideal_features", features._ideal_features.__wrapped__):
-        plain = extract_features(state)
-    assert _hex(memoized) == _hex(plain)
-
-
-def _plain_trajectory(initial, cap):
-    # run_trajectory as a plain loop: the uncached chart and the monomial-phase
-    # check after every step, including steps that keep the ideal
-    states, centers, excs = [initial], [], []
-    if is_monomial_phase(initial.ideal):
-        return states, centers, excs, 0
-    with patch.object(simulator, "_chart", simulator._chart.__wrapped__):
-        for k in range(cap):
-            current, center, exc = simulator.step(states[-1])
-            states.append(current)
-            centers.append(center)
-            excs.append(exc)
-            if is_monomial_phase(current.ideal):
-                return states, centers, excs, k + 1
-    return states, centers, excs, None
+    assert _hex(extract_features(state)) == _hex(plain_features(state))
 
 
 @settings(max_examples=150, deadline=None)
 @given(state=_states(), cap=st.integers(0, 40))
 def test_step_memo_matches_uncached_chart(state, cap):
     memoized = run_trajectory(state, cap)
-    states, centers, excs, monomial_step = _plain_trajectory(state, cap)
+    states, centers, excs, monomial_step = plain_run(state, cap)
     assert memoized.states == tuple(states)
     assert memoized.centers == tuple(centers)
     assert memoized.excs == tuple(excs)
@@ -187,14 +166,14 @@ _OVERFLOWS = State(
 @example(state=_NEVER_REPEATS[0].initial_state(), cap=120, ranker="disc_lex")
 @example(state=_OVERFLOWS, cap=4096, ranker="two_component")
 def test_compact_tail_matches_plain_loop(state, cap, ranker):
-    # simulate_case runs cold (the streams cleared, and a fresh copy of the
-    # ranker, so its rank table too), then warm, then with the builtin ranker,
-    # whose table earlier examples filled; each must give the plain loop's
-    # features, ranks and audit.  A warm call reuses the run, and its stream,
-    # exactly when the cap is at most the default, and only the last run's
-    # stream is left
+    # simulate_case runs cold (every memo cleared, and a fresh copy of the
+    # ranker), then warm, then with the builtin ranker; each must give the
+    # plain loop's features, ranks and audit.  A warm call reuses the run, and
+    # its stream, exactly when the cap is at most the default, and only the
+    # last run's stream is left
+    clear_memos()
     trajectory = run_trajectory(state, cap)
-    states, centers, excs, monomial_step = _plain_trajectory(state, cap)
+    states, centers, excs, monomial_step = plain_run(state, cap)
     assert trajectory.states == tuple(states)
     assert trajectory.centers == tuple(centers)
     assert trajectory.excs == tuple(excs)
@@ -203,7 +182,6 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
 
     rank_fn = get_ranker(ranker)
     cfg = HarnessConfig(cap=cap)
-    harness._streams.clear()
     try:
         plain_features = [extract_features(s) for s in states]
     except OverflowError:
@@ -212,42 +190,17 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
         with pytest.raises(OverflowError):
             simulate_case(state, rank_fn, cfg)
         return
-    plain_ranks = []
-    for fv in plain_features:
-        try:
-            plain_ranks.append(rank_fn(fv))
-        except Exception:
-            plain_ranks.append(None)
-    plain_audit = audit_trajectory(plain_ranks, plain_features, cfg)
+    want_ranks = plain_ranks(rank_fn, plain_features)
+    plain_audit = audit_trajectory(want_ranks, plain_features, cfg)
     fresh = replace(rank_fn)
     assert fresh == rank_fn and fresh is not rank_fn
     for rank_with in (fresh, fresh, rank_fn):
         run, feature_stream, rank_stream = simulate_case(state, rank_with, cfg)
         assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in plain_features]
-        assert [_rank_hex(r) for r in rank_stream] == [_rank_hex(r) for r in plain_ranks]
+        assert [_rank_hex(r) for r in rank_stream] == [_rank_hex(r) for r in want_ranks]
         assert audit_trajectory(rank_stream, feature_stream, cfg) == plain_audit
         assert (run is trajectory) == (cap <= DEFAULT_CAP)
-    assert list(harness._streams) == [run]
-    assert _streams_match_their_runs()
-
-
-def _streams_match_their_runs(extract=extract_features):
-    # each held run, handed back by run_trajectory, gives simulate_case the
-    # tuples a fresh extraction of its states gives, bit for bit (the sign of
-    # zero too); and a ranker that returns its own vector gets each state's
-    # vector back, so the rank-table keys held with the run match its states
-    for run in list(harness._streams):
-        states = list(run.prefix)
-        for _ in range(run.tail_len):
-            states.append(simulator.step(states[-1])[0])
-        want = [_hex(extract(s)) for s in states]
-        with patch.object(harness, "run_trajectory", lambda initial, cap: run):
-            _, fvs, ranks = simulate_case(run.prefix[0], lambda fv: fv, HarnessConfig())
-        if not all(type(fv) is tuple for fv in fvs) or not (
-            [_hex(fv) for fv in fvs] == want == [_hex(r) for r in ranks]
-        ):
-            return False
-    return True
+    assert memos()["streams"][0] == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,29 +209,26 @@ def _streams_match_their_runs(extract=extract_features):
     cap=st.integers(0, 40),
 )
 def test_trajectory_memo_matches_plain_loop(state, cap):
-    # cold (the run memo cleared), then warm; a run is held exactly when its
+    # cold (every memo cleared), then warm; a run is held exactly when its
     # cap is at most DEFAULT_CAP, and a warm call hands back the held run
-    simulator._held_run.cache_clear()
-    plain = simulator._stepped(state, cap)
+    clear_memos()
+    states, centers, excs, monomial_step = plain_run(state, cap)
     cold = run_trajectory(state, cap)
     warm = run_trajectory(state, cap)
     for trajectory in (cold, warm):
-        assert trajectory.prefix == plain.prefix
-        assert trajectory.tail_len == plain.tail_len
-        assert trajectory.centers == plain.centers
-        assert trajectory.excs == plain.excs
-        assert trajectory.monomial_step == plain.monomial_step
+        assert trajectory.states == tuple(states)
+        assert trajectory.centers == tuple(centers)
+        assert trajectory.excs == tuple(excs)
+        assert trajectory.monomial_step == monomial_step
     held = cap <= DEFAULT_CAP
-    assert simulator._held_run.cache_info().currsize == held
+    assert memos()["runs"][0] == held
     assert (warm is cold) == held
 
 
 def test_non_int_caps_are_refused():
-    # a float or bool cap equals an int key, so it would hit a held run
+    # a float or bool cap equals an int, so it would hash to a held run's key
     state = focused71()[0].initial_state()
-    held = run_trajectory(state, 30)
-    assert simulator._held_run(state, 30.0) is held
-    assert simulator._held_run(state, True) is run_trajectory(state, 1)
+    run_trajectory(state, 30)
     for cap in (30.0, True, "30"):
         with pytest.raises(TypeError):
             run_trajectory(state, cap)
@@ -292,47 +242,119 @@ def test_fixed_point_tail_is_kept_as_a_count():
     assert trajectory.tail_len == cap + 1 - len(trajectory.prefix) > 4000
     assert len(trajectory.states) == len(feature_stream) == cap + 1
     assert trajectory.centers[-1].kind == simulator.DIVISOR_Z
-    assert trajectory.prefix[-1].ideal is trajectory.prefix[-2].ideal
+    assert trajectory.prefix[-1].ideal == trajectory.prefix[-2].ideal != trajectory.prefix[-3].ideal
+
+
+def test_tail_starts_at_the_first_repeated_ideal():
+    # ideals compare by value: a run's prefix ends at the first state whose
+    # ideal equals its predecessor's, so no tail state is stepped or extracted
+    # as a prefix state, whichever ideal objects the chart memo hands back
+    tailed = 0
+    for cap in (30, 120):
+        for case in broad24() + extended100() + generate_broad_surrogates(1, 200):
+            run = run_trajectory(case.initial_state(), cap)
+            ideals = [state.ideal for state in run.prefix]
+            repeats = [k for k in range(1, len(ideals)) if ideals[k] == ideals[k - 1]]
+            if run.tail_len:
+                tailed += 1
+                assert repeats == [len(ideals) - 1], case.name
+    assert tailed == 631
 
 
 @pytest.fixture
 def cold_memos():
-    """Clear every process-wide memo: a warm feature stream or run skips the
-    ideal memos, whose misses the tests below count, and a warm rank table
-    skips the ranker.  A stream lives as long as its run, so clearing the run
-    memo drops the streams."""
-    harness._tables.clear()
-    simulator._chart.cache_clear()
-    features._ideal_features.cache_clear()
-    simulator._rewrite.cache_clear()
-    features._monomial_facts.cache_clear()
-    _cold_runs()
+    """Empty every process-wide memo, so that the counts a test reads start
+    at 0 and no warm run, stream or rank table skips the work it counts."""
+    clear_memos()
 
 
-def _cold_runs():
-    simulator._held_run.cache_clear()
-    gc.collect()
+_MEMO_NAMES = (
+    "chart",
+    "rewrite",
+    "runs",
+    "monomial_facts",
+    "ideal_features",
+    "streams",
+    "rank_tables",
+)
 
 
-def test_cold_memos_clears_every_memo(request):
-    simulate_case(focused71()[0].initial_state(), get_ranker("r100"), HarnessConfig())
-    memos = (
-        simulator._chart,
-        features._ideal_features,
-        simulator._rewrite,
-        features._monomial_facts,
-        simulator._held_run,
-    )
-    assert harness._streams and harness._tables
-    assert all(memo.cache_info().currsize for memo in memos)
-    request.getfixturevalue("cold_memos")
-    assert not harness._streams and not harness._tables
-    assert all(memo.cache_info().currsize == 0 for memo in memos)
+def test_cold_memos_clears_every_memo(cold_memos):
+    # one scoring fills every memo; clearing empties each, streams and rank
+    # tables included, and keeps its bound
+    assert tuple(memos()) == _MEMO_NAMES
+    assert all(entries == 0 for entries, *_ in memos().values())
+    score_benchmark(get_ranker("r100"), focused71(), HarnessConfig())
+    warm = memos()
+    assert all(entries > 0 for entries, *_ in warm.values())
+    clear_memos()
+    cold = memos()
+    assert all(entries == 0 for entries, *_ in cold.values())
+    assert [m[1] for m in cold.values()] == [m[1] for m in warm.values()]
+    assert cold["runs"] == (0, MEMO_ENTRIES, 0, 0)
+    assert cold["streams"] == (0, None, None, None)
+    assert cold["rank_tables"] == (0, MONOMIAL_MEMO_ENTRIES, None, None)
 
 
-def _held_vectors():
-    assert _streams_match_their_runs()
-    return sum(len(run.prefix) for run in harness._streams)
+#: The package's caches and module-level mappings that memos() does not
+#: report, each with the reason
+_NOT_MEMOS = {
+    "core._is_prime": "a characteristic's primality, read when a case is parsed, not scored",
+    "benchmarks.broad24": "a builtin suite: a constant tuple of cases, built on first use",
+    "benchmarks.focused71": "a builtin suite: a constant tuple of cases, built on first use",
+    "benchmarks.extended100": "a builtin suite: a constant tuple of cases, built on first use",
+    "benchmarks.BenchmarkCase._initial": "a case's initial State, held as long as the case",
+    "simulator.Trajectory.states": "a run's stepped-out states, held as long as the run",
+    "rankers._RANKERS": "the builtin rankers by name, fixed at import",
+}
+
+
+def _package_caches():
+    # (object, the names it is found under) for every functools cache wrapper,
+    # cached_property and module-level mapping that the package defines
+    found = {}
+    for info in pkgutil.iter_modules(blowup_lab.__path__):
+        module = importlib.import_module(f"blowup_lab.{info.name}")
+        scopes = [(info.name, vars(module))]
+        scopes += [
+            (f"{info.name}.{value.__name__}", vars(value))
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        for scope, namespace in scopes:
+            for name, value in namespace.items():
+                if name.startswith("__"):
+                    continue
+                if (
+                    hasattr(value, "cache_info")
+                    or isinstance(value, functools.cached_property)
+                    or isinstance(value, Mapping)
+                ):
+                    found.setdefault(id(value), (value, []))[1].append(f"{scope}.{name}")
+    return list(found.values())
+
+
+def _entries(memo):
+    return memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo)
+
+
+def test_every_cache_is_a_memo_or_exempt(cold_memos):
+    # each cache or mapping of the package is either exempt, or a memo that
+    # memos() reports and clear_memos() empties
+    found = _package_caches()
+    assert {name for _, names in found for name in names} >= set(_NOT_MEMOS)
+    registered = [(memo, names) for memo, names in found if not set(names) & set(_NOT_MEMOS)]
+    assert len(registered) == len(memos())
+    score_benchmark(get_ranker("r100"), focused71(), HarnessConfig())
+    reported = memos()
+    for memo, names in registered:
+        assert not isinstance(memo, functools.cached_property), names
+        assert _entries(memo) > 0, names
+        if hasattr(memo, "cache_info"):
+            info = memo.cache_info()
+            assert (info.currsize, info.maxsize, info.hits, info.misses) in reported.values(), names
+    clear_memos()
+    assert all(_entries(memo) == 0 for memo, _ in registered)
 
 
 def test_returned_streams_are_the_callers_own(cold_memos):
@@ -348,7 +370,7 @@ def test_returned_streams_are_the_callers_own(cold_memos):
     del feature_stream[-10:]
     rank_stream.clear()
     again_run, again, ranks = simulate_case(state, rank_fn, cfg)
-    assert again_run is first and first in harness._streams
+    assert again_run is first and memos()["streams"][0] == 1
     assert [_hex(fv) for fv in again] == want
     assert len(ranks) == DEFAULT_CAP + 1
 
@@ -365,9 +387,9 @@ def test_list_boundary_scores_as_its_tuple():
     assert listed == tupled and hash(listed) == hash(tupled)
     rank_fn = get_ranker("disc_lex")
     cfg = HarnessConfig()
-    harness._streams.clear()
+    clear_memos()
     want = _stream_hex(simulate_case(tupled, rank_fn, cfg))
-    harness._streams.clear()
+    clear_memos()
     assert _stream_hex(simulate_case(listed, rank_fn, cfg)) == want
     # warm, from the entry the list form left
     assert _stream_hex(simulate_case(tupled, rank_fn, cfg)) == want
@@ -375,7 +397,7 @@ def test_list_boundary_scores_as_its_tuple():
 
 def test_each_scoring_runs_every_trajectory(cold_memos):
     # warm memos still call run_trajectory on and rank every case, but step
-    # and extract nothing: focused71's 62 distinct initial states have 677
+    # and extract nothing: focused71's 62 distinct initial states have 617
     # prefix states at the default cap, so even the first scoring hits 9 times
     cases = focused71()
     trajectories = []
@@ -397,10 +419,10 @@ def test_each_scoring_runs_every_trajectory(cold_memos):
     ):
         for _ in range(2):
             reports.append(score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig()))
-            assert simulator._held_run.cache_info().misses == 62
-            assert len(extractions) == 677
+            assert memos()["runs"][3] == 62
+            assert len(extractions) == 617
     assert len(trajectories) == 142
-    assert len(harness._streams) == 62
+    assert memos()["streams"][0] == 62
     assert reports[0] == reports[1]
 
 
@@ -451,7 +473,7 @@ def test_threads_share_the_stream_memo(cold_memos):
     cfg = HarnessConfig()
     runs = []
     for workers in ((1, 2), (2, 1)):
-        _cold_runs()
+        clear_memos()
         runs += [
             score_benchmark(replace(ranker), cases, cfg, "s", "r100", workers=w)
             for w in workers
@@ -459,10 +481,10 @@ def test_threads_share_the_stream_memo(cold_memos):
     assert all(run == runs[0] for run in runs)
 
     many = generate_broad_surrogates(2, 600)
-    assert len({_key(c.initial_state(), cfg.cap) for c in many}) > MEMO_ENTRIES
-    _cold_runs()
+    assert len({c.initial_state() for c in many}) > MEMO_ENTRIES
+    clear_memos()
     serial = score_benchmark(ranker, many, cfg, "s", "r100")
-    _cold_runs()
+    clear_memos()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -470,9 +492,9 @@ def test_threads_share_the_stream_memo(cold_memos):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert len(harness._streams) <= MEMO_ENTRIES
-    assert simulator._held_run.cache_info().currsize <= MEMO_ENTRIES
-    assert _streams_match_their_runs()
+    assert memos()["streams"][0] <= memos()["runs"][0] <= MEMO_ENTRIES
+    # the runs and streams the threads left give a fresh table serial's report
+    assert score_benchmark(replace(ranker), many, cfg, "s", "r100") == serial
 
     # focused71 at cap 4096 has 8,343 bit-distinct vectors: threads share one
     # table past its bound, which the call drops when it returns
@@ -485,20 +507,27 @@ def test_threads_share_the_stream_memo(cold_memos):
 def test_stream_memo_holds_at_most_its_vector_budget(cold_memos):
     # the two broad24 cases that never repeat an ideal have an 8,001-state
     # prefix at cap 8000: neither its run nor its stream outlives the
-    # scoring, so each scoring steps and extracts it again.  At the default
-    # cap their runs are held, and with them their 31-vector streams
+    # scoring, so each scoring steps and extracts all of it again.  At the
+    # default cap their runs are held, and with them their 31-vector streams,
+    # so only the first scoring extracts
     cases = _NEVER_REPEATS
     assert len(cases) == 2
-    cfg = HarnessConfig(cap=8000)
-    first = score_benchmark(get_ranker("disc_lex"), cases, cfg)
-    assert not harness._streams and not simulator._held_run.cache_info().currsize
-    assert score_benchmark(get_ranker("disc_lex"), cases, cfg) == first
-    assert not harness._streams and not simulator._held_run.cache_info().currsize
+    extracted = []
 
-    score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig())
-    held = [run_trajectory(c.initial_state(), DEFAULT_CAP) for c in cases]
-    assert list(harness._streams) == held
-    assert _held_vectors() == 2 * (DEFAULT_CAP + 1)
+    def counted(state):
+        extracted.append(state)
+        return extract_features(state)
+
+    with patch.object(harness, "extract_features", counted):
+        for cap, held, counts in ((8000, 0, (16002, 16002)), (DEFAULT_CAP, 2, (62, 0))):
+            cfg = HarnessConfig(cap=cap)
+            reports = []
+            for want in counts:
+                extracted.clear()
+                reports.append(score_benchmark(get_ranker("disc_lex"), cases, cfg))
+                assert len(extracted) == want
+                assert memos()["streams"][0] == memos()["runs"][0] == held
+            assert reports[0] == reports[1]
 
 
 def test_builtin_sweep_computes_each_ideal_once(cold_memos):
@@ -510,7 +539,7 @@ def test_builtin_sweep_computes_each_ideal_once(cold_memos):
     for cases in suites:
         for name in ("two_component", "clean_lex", "disc_lex", "r100"):
             score_benchmark(get_ranker(name), cases, cfg)
-    misses = features._ideal_features.cache_info().misses
+    misses = memos()["ideal_features"][3]
     ideals = {
         (s.ideal, s.vars)
         for cases in suites
@@ -521,41 +550,40 @@ def test_builtin_sweep_computes_each_ideal_once(cold_memos):
 
 
 def test_memos_stay_within_their_bound(cold_memos):
-    memos = (simulator._chart, features._ideal_features)
     cases = generate_broad_surrogates(1, 200)
     score_benchmark(get_ranker("r100"), cases, HarnessConfig(cap=120))
-    for memo in memos:
-        info = memo.cache_info()
-        assert info.maxsize == MEMO_ENTRIES
-        assert info.misses > MEMO_ENTRIES  # the bound was actually reached
-        assert info.currsize <= MEMO_ENTRIES
+    for name in ("chart", "ideal_features"):
+        entries, bound, _, misses = memos()[name]
+        assert bound == MEMO_ENTRIES
+        assert misses > MEMO_ENTRIES  # the bound was actually reached
+        assert entries <= MEMO_ENTRIES
 
     # the run memo keys by (initial state, cap) and holds only caps up to
     # DEFAULT_CAP: more caps give more distinct keys than it holds, and it
     # keeps the newest MEMO_ENTRIES.  The streams left are exactly those of
     # the runs it holds
-    keys = [_key(c.initial_state(), 120) for c in cases]
+    keys = [(c.initial_state(), 120) for c in cases]
     for cap in (60, 30, 20, 10):
         score_benchmark(get_ranker("r100"), cases, HarnessConfig(cap=cap))
-        keys += [_key(c.initial_state(), cap) for c in cases]
+        keys += [(c.initial_state(), cap) for c in cases]
     assert len(set(keys)) == len(keys)
     run_keys = [k for k in keys if k[-1] <= DEFAULT_CAP]
     assert len(run_keys) > MEMO_ENTRIES
-    before = simulator._held_run.cache_info()
-    assert before.misses == len(run_keys) and before.currsize == MEMO_ENTRIES
-    held = [run_trajectory(*k) for k in run_keys[-MEMO_ENTRIES:]]
-    assert simulator._held_run.cache_info().misses == before.misses
-    assert set(harness._streams) == set(held) and len(harness._streams) == MEMO_ENTRIES
-    assert _streams_match_their_runs()
+    entries, bound, _, misses = memos()["runs"]
+    assert (entries, bound, misses) == (MEMO_ENTRIES, MEMO_ENTRIES, len(run_keys))
+    for k in run_keys[-MEMO_ENTRIES:]:
+        run_trajectory(*k)
+    assert memos()["runs"][3] == misses
+    assert memos()["streams"][0] == MEMO_ENTRIES
 
     # the per-monomial memos: 1,200 surrogates at cap 30 bring 4,319 distinct
     # monomials, past the bound
     score_benchmark(get_ranker("r100"), generate_broad_surrogates(1, 1200), HarnessConfig())
-    for memo in (features._monomial_facts, simulator._rewrite):
-        info = memo.cache_info()
-        assert info.maxsize == MONOMIAL_MEMO_ENTRIES
-        assert info.misses > MONOMIAL_MEMO_ENTRIES
-        assert info.currsize <= MONOMIAL_MEMO_ENTRIES
+    for name in ("monomial_facts", "rewrite"):
+        entries, bound, _, misses = memos()[name]
+        assert bound == MONOMIAL_MEMO_ENTRIES
+        assert misses > MONOMIAL_MEMO_ENTRIES
+        assert entries <= MONOMIAL_MEMO_ENTRIES
 
 
 # The rank table: a scoring calls the ranker once per bit-distinct feature
@@ -629,19 +657,6 @@ class _StateCase:
         return self._state
 
 
-def _plain_ranks(rank_with, fvs):
-    # a one-shot rank is read inside the try, so one that raises while it is
-    # read is a crash
-    ranks = []
-    for fv in fvs:
-        try:
-            rank = rank_with(fv)
-            ranks.append(tuple(rank) if isinstance(rank, Iterator) else rank)
-        except ArithmeticError:
-            ranks.append(None)
-    return ranks
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     initials=st.lists(
@@ -684,11 +699,11 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed, forms):
 
     extract = _signed_zero_features if signed else extract_features
     plain_features = []
-    plain_ranks = []
+    want_ranks = []
     for state in initials:
-        fvs = [extract(s) for s in simulator._stepped(state, cap).states]
+        fvs = [extract(s) for s in plain_run(state, cap)[0]]
         plain_features.append(fvs)
-        plain_ranks.append([_rank_hex(r) for r in _plain_ranks(ranker, fvs)])
+        want_ranks.append([_rank_hex(r) for r in plain_ranks(ranker, fvs)])
 
     def distinct(streams):
         return len({struct.pack("26d", *fv) for fvs in streams for fv in fvs})
@@ -699,8 +714,8 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed, forms):
         assert [_rank_hex(r) for r in rank_stream] == ranks
 
     cfg = HarnessConfig(cap=cap)
-    cases = list(zip(initials, plain_features, plain_ranks))
-    harness._streams.clear()
+    cases = list(zip(initials, plain_features, want_ranks))
+    clear_memos()
     try:
         with patch.object(harness, "extract_features", extract):
             # one call per case with one ranker object, whose table the calls
@@ -726,17 +741,16 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed, forms):
             # the formed ranker's table cold and then warm
             suite = [_StateCase(f"case{i}", state) for i, state in enumerate(initials)]
             want = [
-                json.dumps(audit_trajectory(_plain_ranks(formed, fvs), fvs, cfg, c.name).report.to_json_dict())
+                json.dumps(audit_trajectory(plain_ranks(formed, fvs), fvs, cfg, c.name).report.to_json_dict())
                 for c, fvs in zip(suite, plain_features)
             ]
             for _ in range(2):
                 reports = score_benchmark(formed, suite, cfg).reports
                 assert [json.dumps(r.to_json_dict()) for r in reports] == want
-        assert len(harness._streams) == len({(s, cap) for s in initials if cap <= DEFAULT_CAP})
-        assert _streams_match_their_runs(extract)
+        assert memos()["streams"][0] == len({s for s in initials if cap <= DEFAULT_CAP})
     finally:
         # no stream of the altered features outlives the test
-        harness._streams.clear()
+        clear_memos()
 
 
 class _EqualRanker:
@@ -824,9 +838,9 @@ def _counted(rank_fn):
     return counted, calls
 
 
-def test_each_candidate_table_lasts_one_evaluation():
-    # every hill-climb candidate is a fresh Ranker: its table is kept when its
-    # evaluation returns, and goes with the candidate
+def test_each_candidate_table_lasts_one_evaluation(cold_memos):
+    # every hill-climb candidate is a fresh Ranker: its table, focused71's 211
+    # ranks, is kept when its evaluation returns, and goes with the candidate
     candidates = []
     held_after_scoring = []
 
@@ -838,16 +852,15 @@ def test_each_candidate_table_lasts_one_evaluation():
 
     def scored(ranker, *args, **kwargs):
         report = score_benchmark(ranker, *args, **kwargs)
-        held_after_scoring.append(id(ranker) in harness._tables)
+        held_after_scoring.append(memos()["rank_tables"][0])
         return report
 
-    before = set(harness._tables)
     with patch.object(search, "score_benchmark", scored):
         hill_climb(Recorded(), focused71(), HarnessConfig(), budget=5, seed=1)
     gc.collect()
-    assert len(candidates) == len(held_after_scoring) == 6 and all(held_after_scoring)
+    assert len(candidates) == 6 and held_after_scoring == [211] * 6
     assert all(ref() is None for ref in candidates)
-    assert set(harness._tables) <= before
+    assert memos()["rank_tables"][0] == 0
 
 
 def test_rank_table_goes_with_its_ranker():
@@ -932,11 +945,67 @@ def test_ranker_without_weak_references_gets_a_table_per_call():
         weakref.ref(ranker)
     cases = focused71()
     want = score_benchmark(rank_fn, cases, HarnessConfig())
+    held = memos()["rank_tables"][0]
     for _ in range(2):
         calls.clear()
         assert score_benchmark(ranker, cases, HarnessConfig(), ranker_name="disc_lex") == want
         assert len(calls) == 211 + 2 * len(cases)
-        assert id(ranker) not in harness._tables
+        assert memos()["rank_tables"][0] == held
+
+
+# Scoring against the plain oracle: every report, cold and warm, one call per
+# suite and one per case, equals the one plain_score gives.
+
+_SCORED_SURROGATES = generate_broad_surrogates(5, 60)
+
+
+@st.composite
+def _suites(draw):
+    # a few builtin cases, surrogates or random initial states
+    kind = draw(st.sampled_from(("builtin", "surrogates", "random")))
+    if kind == "random":
+        states = draw(st.lists(_states(), min_size=1, max_size=3))
+        return [_StateCase(f"random{i}", state) for i, state in enumerate(states)]
+    pool = broad24() + extended100() if kind == "builtin" else _SCORED_SURROGATES
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+_rankers = st.one_of(
+    st.sampled_from(ranker_names()).map(get_ranker),
+    st.tuples(*[st.floats(-20.0, 20.0)] * RankerTemplate().size()).map(
+        RankerTemplate().instantiate
+    ),
+)
+
+
+def _scored(score, ranker, cases, cfg):
+    try:
+        return json.dumps(score(ranker, cases, cfg).to_json_dict())
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=_suites(), cap=st.integers(0, 200), window=st.integers(1, 10), ranker=_rankers)
+# fixed-ideal tails of 193-195 steps: a tail rank that missed its f25 step
+# would stall the discretized rank
+@example(cases=list(focused71()[:3]), cap=200, window=5, ranker=get_ranker("disc_lex"))
+def test_scoring_matches_plain_score(cases, cap, window, ranker):
+    cfg = HarnessConfig(window=window, cap=cap)
+    entries = [m[0] for m in memos().values()]
+    want = _scored(plain_score, ranker, cases, cfg)
+    want_each = [_scored(plain_score, ranker, [case], cfg) for case in cases]
+    # the oracle reads and fills no memo
+    assert [m[0] for m in memos().values()] == entries
+    # cold, then warm with the same ranker object: one call per suite first,
+    # then one call per case first
+    for per_case_first in (False, True):
+        clear_memos()
+        for per_case in (per_case_first, not per_case_first, False):
+            if per_case:
+                assert [_scored(score_benchmark, ranker, [c], cfg) for c in cases] == want_each
+            else:
+                assert _scored(score_benchmark, ranker, cases, cfg) == want
 
 
 # The per-monomial memos: the ideal feature kernel and the chart aggregate
@@ -987,7 +1056,7 @@ def test_monomial_memos_match_plain_kernels(ideal_vars, other_p):
     # the same monomials in another characteristic first, so that a facts key
     # that missed p would hand back the other characteristic's facts
     ideal, vars = ideal_vars
-    features._ideal_features.__wrapped__(ideal, VariableSet(vars.names, other_p))
+    extract_features(State.initial(ideal, VariableSet(vars.names, other_p)))
     _assert_kernels_match_plain(ideal, vars)
 
 
@@ -1026,5 +1095,5 @@ def test_each_monomial_is_worked_out_once_per_cold_scoring(
             if k < len(run.prefix) - 1:
                 step = (run.centers[k].var_index, run.excs[k])
                 rewrite_keys.update((m,) + step for m in state.ideal)
-    assert features._monomial_facts.cache_info().misses == len(fact_keys) == facts
-    assert simulator._rewrite.cache_info().misses == len(rewrite_keys) == rewrites
+    assert memos()["monomial_facts"][3] == len(fact_keys) == facts
+    assert memos()["rewrite"][3] == len(rewrite_keys) == rewrites
