@@ -242,7 +242,15 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     if f16 == math.inf:
         f16 = 0
     f17 = support.bit_count()
-    f21 = hilbert_samuel_base(State.initial(ideal, vars))
+    # f21 = C(N, j) - k, with N = f1 + n and j = min(f1, n), and C(N, j) >=
+    # (N // j)^j: when that bound proves f21 past 2^1025, float(f21) must
+    # refuse it, so an int that float() refuses stands in for the count
+    n = vars.dim - 1
+    j = min(f1, n)
+    if j and j * (((f1 + n) // j).bit_length() - 1) > 1025:
+        f21 = 1 << 1025
+    else:
+        f21 = hilbert_samuel_base(State.initial(ideal, vars))
     f22 = jac_low - 1 if jac_low != math.inf else JACOBIAN_SENTINEL
 
     values = (

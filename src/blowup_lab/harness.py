@@ -18,13 +18,14 @@ import math
 import struct
 import weakref
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from blowup_lab import features, simulator
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.features import NUM_FEATURES, extract_features
 from blowup_lab.rankers import get_ranker
-from blowup_lab.simulator import DEFAULT_CAP, MONOMIAL_MEMO_ENTRIES, run_trajectory
+from blowup_lab.simulator import DEFAULT_CAP, MEMO_ENTRIES, MONOMIAL_MEMO_ENTRIES, run_trajectory
 
 FLAG_DELAY = 1
 FLAG_NORMALIZATION = 2
@@ -247,13 +248,24 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
     return first == second
 
 
-#: Each run's prefix by Trajectory object, as (its feature vectors, the tuples
-#: extract_features returned; every state's rank-table key): an entry lives
-#: exactly as long as its run.  A key is (the first 25 doubles as bytes, f25),
-#: and a tail's keys share its entry vector's bytes; f25, the float of a
-#: non-negative int, is never -0.0 or NaN, so equal keys are equal bits.
-_streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _stream(trajectory) -> tuple:
+    # (prefix vectors, every state's rank-table key (the first 25 doubles as
+    # bytes, f25)); a tail's keys share its entry's bytes.  f25, a non-negative
+    # int's float, is never -0.0 or NaN, so equal keys are equal bits
+    vectors = tuple([extract_features(s) for s in trajectory.prefix])
+    keys = [(_HEAD.pack(*fv[:25]), fv[25]) for fv in vectors]
+    if trajectory.tail_len:
+        head = keys[-1][0]
+        mass = trajectory.prefix[-1].boundary.mass
+        exc = trajectory.excs[-1]
+        keys += [(head, float(mass + j * exc)) for j in range(1, trajectory.tail_len + 1)]
+    return vectors, keys
+
+
 _HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
+#: Streams by run (which hashes by identity), for the runs that the runs memo
+#: hands out only; an entry keeps its run alive until it is evicted.
+_held_stream = lru_cache(maxsize=MEMO_ENTRIES)(_stream)
 
 #: Rank tables by ranker id, as (a weak reference to the ranker, a dict from
 #: key to gated rank): an entry goes when its ranker dies, or when a call
@@ -268,23 +280,21 @@ _CACHES = (
     ("runs", simulator._held_run),
     ("monomial_facts", features._monomial_facts),
     ("ideal_features", features._ideal_features),
+    ("streams", _held_stream),
 )
 
 
 def memos() -> dict[str, tuple]:
     """Each process-wide memo's (entries, bound, hits, misses), by name.
 
-    The five lru_caches report their cache_info().  "streams" counts the runs
-    whose prefix vectors and rank-table keys are held; an entry lives as long
-    as its run, so it has no bound of its own.  "rank_tables" counts the ranks
-    of every live ranker's table, each of which a call leaves holding at most
-    MONOMIAL_MEMO_ENTRIES.  Neither counts hits or misses.
+    The six lru_caches report their cache_info().  "rank_tables" counts the
+    ranks of every live ranker's table, each of which a call leaves holding
+    at most MONOMIAL_MEMO_ENTRIES, and counts no hits or misses.
     """
     report = {}
     for name, cache in _CACHES:
         info = cache.cache_info()
         report[name] = (info.currsize, info.maxsize, info.hits, info.misses)
-    report["streams"] = (len(_streams), None, None, None)
     ranks = sum(len(table) for _, table in list(_tables.values()))
     report["rank_tables"] = (ranks, MONOMIAL_MEMO_ENTRIES, None, None)
     return report
@@ -294,7 +304,6 @@ def clear_memos() -> None:
     """Empty every memo that memos() reports."""
     for _, cache in _CACHES:
         cache.cache_clear()
-    _streams.clear()
     _tables.clear()
 
 
@@ -312,10 +321,11 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     Features are extracted on the trajectory's prefix only: on its V(z) tail
     the ideal and the base multiplicities are fixed, so each tail vector is
     the last prefix vector with the boundary mass f25 raised by the
-    exceptional exponent per step.  A run's prefix is extracted once and its
-    vectors are kept as long as the run, so at a cap up to DEFAULT_CAP, where
-    run_trajectory hands back one run per case, a case is extracted once per
-    process.  run_trajectory is called on every call.
+    exceptional exponent per step.  At a cap up to DEFAULT_CAP, where
+    run_trajectory hands back a held run, the run's stream is held beside it
+    in the "streams" memo, so a case is extracted once while both are held;
+    above it, a stream lasts only for its call.  run_trajectory is called on
+    every call.
 
     Every state gets its rank from the ranker's rank table (see
     score_benchmark), so the ranker, which must be pure, is called once per
@@ -336,17 +346,7 @@ def _rank_run(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict)
     # Gives (trajectory, prefix vectors, every state's key, _GatedRanks); a
     # tail vector is built only when the ranker is called on it
     trajectory = run_trajectory(initial, cfg.cap)
-    held = _streams.get(trajectory)
-    if held is None:
-        vectors = tuple([extract_features(s) for s in trajectory.prefix])
-        keys = [(_HEAD.pack(*fv[:25]), fv[25]) for fv in vectors]
-        if trajectory.tail_len:
-            head = keys[-1][0]
-            mass = trajectory.prefix[-1].boundary.mass
-            exc = trajectory.excs[-1]
-            keys += [(head, float(mass + j * exc)) for j in range(1, trajectory.tail_len + 1)]
-        held = _streams[trajectory] = (vectors, keys)
-    vectors, keys = held
+    vectors, keys = (_held_stream if cfg.cap <= DEFAULT_CAP else _stream)(trajectory)
     ranks = _GatedRanks(map(table.get, keys))
     for t in [t for t, rank in enumerate(ranks) if rank is None]:
         key = keys[t]

@@ -20,8 +20,9 @@ DIVISOR_Z = "divisor_z"
 
 DEFAULT_CAP = 30
 
-#: Entries kept by each process-wide lru_cache: chart rewrites, ideal features
-#: and runs at caps up to DEFAULT_CAP.  Every builtin suite fits whole (412
+#: Entries kept by each process-wide lru_cache: chart rewrites, ideal features,
+#: and runs at caps up to DEFAULT_CAP with their feature streams (the harness
+#: streams memo).  Every builtin suite fits whole (412
 #: distinct ideals in extended100), so each is computed once across rankers.
 MEMO_ENTRIES = 512
 

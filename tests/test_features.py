@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab import clear_memos
+from blowup_lab import clear_memos, memos
 from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.cli import main
 from blowup_lab.core import (
@@ -31,6 +31,8 @@ from blowup_lab.features import (
     extract_features,
     hilbert_samuel_base,
 )
+from blowup_lab.harness import HarnessConfig, score_benchmark
+from blowup_lab.rankers import get_ranker
 from blowup_lab.simulator import run_trajectory
 from oracles import plain_ideal_features
 
@@ -393,3 +395,39 @@ def test_padic_depth_of_a_huge_exponent_is_cheap(vars4):
     got = _outcome(_extract_initial, ideal, vars4)
     assert time.perf_counter() - start < 0.25
     assert got == _outcome(plain_ideal_features, ideal, vars4)
+
+
+def test_f21_past_the_float_range_is_refused_without_counting(monkeypatch):
+    # C(N, j) >= (N // j)^j, with N = f1 + n and j = min(f1, n), proves these
+    # f21 past 2^1025, so the kernel raises float()'s OverflowError at f21's
+    # place and never builds the count; the 10,000-variable one took seconds
+    # in math.comb alone
+    from blowup_lab import features
+
+    def refused(state):
+        raise AssertionError("f21 counted past the float range")
+
+    monkeypatch.setattr(features, "hilbert_samuel_base", refused)
+    clear_memos()
+    for poly, dim in ((f"x0^{10**12}", 32), (f"z^3 + x0^{10**300}", 10_000)):
+        vars = _named_vars(dim)
+        got = _outcome(_extract_initial, parse_polynomial(poly, vars), vars)
+        assert got == ("OverflowError", "int too large to convert to float")
+
+
+def test_f21_that_fits_is_counted_once_per_ideal(monkeypatch):
+    # the bound leaves every builtin ideal to hilbert_samuel_base, read
+    # through the module: a cold focused71 scoring counts each distinct ideal
+    from blowup_lab import features
+
+    counted = []
+    real = features.hilbert_samuel_base
+
+    def counting(state):
+        counted.append(state.ideal)
+        return real(state)
+
+    monkeypatch.setattr(features, "hilbert_samuel_base", counting)
+    clear_memos()
+    score_benchmark(get_ranker("disc_lex"), focused71(), HarnessConfig())
+    assert len(counted) == len(set(counted)) == memos()["ideal_features"][3] == 186

@@ -169,8 +169,8 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
     # simulate_case runs cold (every memo cleared, and a fresh copy of the
     # ranker), then warm, then with the builtin ranker; each must give the
     # plain loop's features, ranks and audit.  A warm call reuses the run, and
-    # its stream, exactly when the cap is at most the default, and only the
-    # last run's stream is left
+    # its stream, exactly when the cap is at most the default; only then is a
+    # stream held, and only the one run's
     clear_memos()
     trajectory = run_trajectory(state, cap)
     states, centers, excs, monomial_step = plain_run(state, cap)
@@ -200,7 +200,7 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
         assert [_rank_hex(r) for r in rank_stream] == [_rank_hex(r) for r in want_ranks]
         assert audit_trajectory(rank_stream, feature_stream, cfg) == plain_audit
         assert (run is trajectory) == (cap <= DEFAULT_CAP)
-    assert memos()["streams"][0] == 1
+    assert memos()["streams"][0] == (1 if cap <= DEFAULT_CAP else 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,7 +292,7 @@ def test_cold_memos_clears_every_memo(cold_memos):
     assert all(entries == 0 for entries, *_ in cold.values())
     assert [m[1] for m in cold.values()] == [m[1] for m in warm.values()]
     assert cold["runs"] == (0, MEMO_ENTRIES, 0, 0)
-    assert cold["streams"] == (0, None, None, None)
+    assert cold["streams"] == (0, MEMO_ENTRIES, 0, 0)
     assert cold["rank_tables"] == (0, MONOMIAL_MEMO_ENTRIES, None, None)
 
 
@@ -398,7 +398,9 @@ def test_list_boundary_scores_as_its_tuple():
 def test_each_scoring_runs_every_trajectory(cold_memos):
     # warm memos still call run_trajectory on and rank every case, but step
     # and extract nothing: focused71's 62 distinct initial states have 617
-    # prefix states at the default cap, so even the first scoring hits 9 times
+    # prefix states at the default cap, so even the first scoring hits 9 times.
+    # A case's stream is looked up right after its run, so the streams memo
+    # counts as the runs memo does
     cases = focused71()
     trajectories = []
     extractions = []
@@ -417,12 +419,11 @@ def test_each_scoring_runs_every_trajectory(cold_memos):
     with patch.object(harness, "run_trajectory", counted_trajectory), patch.object(
         harness, "extract_features", counted_extract
     ):
-        for _ in range(2):
+        for hits in (9, 80):
             reports.append(score_benchmark(get_ranker("disc_lex"), cases, HarnessConfig()))
-            assert memos()["runs"][3] == 62
+            assert memos()["streams"] == memos()["runs"] == (62, MEMO_ENTRIES, hits, 62)
             assert len(extractions) == 617
     assert len(trajectories) == 142
-    assert memos()["streams"][0] == 62
     assert reports[0] == reports[1]
 
 
@@ -467,7 +468,7 @@ def test_threads_share_the_stream_memo(cold_memos):
     # each call with a fresh copy of the ranker, so that threads fill a cold
     # rank table at once; then more workers than cores, with a short switch
     # interval, over more cases than the run memo holds, so that threads
-    # insert and evict runs, and drop their streams, at once
+    # insert and evict runs and streams at once
     cases = broad24() + focused71() + extended100()
     ranker = get_ranker("r100")
     cfg = HarnessConfig()
@@ -530,6 +531,18 @@ def test_stream_memo_holds_at_most_its_vector_budget(cold_memos):
             assert reports[0] == reports[1]
 
 
+def test_runs_held_above_the_default_cap_hold_no_stream(cold_memos):
+    # a stream is held only beside a run that the runs memo hands out, so a
+    # caller that keeps the runs simulate_case returns above DEFAULT_CAP keeps
+    # no stream with them; at the default cap each distinct case keeps one
+    ranker = get_ranker("disc_lex")
+    for cap, runs, held in ((120, 71, 0), (DEFAULT_CAP, 62, 62)):
+        cfg = HarnessConfig(cap=cap)
+        kept = [simulate_case(c.initial_state(), ranker, cfg)[0] for c in focused71()]
+        assert len({id(run) for run in kept}) == runs
+        assert memos()["streams"][0] == memos()["runs"][0] == held
+
+
 def test_builtin_sweep_computes_each_ideal_once(cold_memos):
     # the benchmark's builtin_sweep order: each suite under every ranker in
     # turn; the memo bound must hold all of them, so every distinct ideal
@@ -560,8 +573,8 @@ def test_memos_stay_within_their_bound(cold_memos):
 
     # the run memo keys by (initial state, cap) and holds only caps up to
     # DEFAULT_CAP: more caps give more distinct keys than it holds, and it
-    # keeps the newest MEMO_ENTRIES.  The streams left are exactly those of
-    # the runs it holds
+    # keeps the newest MEMO_ENTRIES.  The streams left are those of the newest
+    # MEMO_ENTRIES scored runs
     keys = [(c.initial_state(), 120) for c in cases]
     for cap in (60, 30, 20, 10):
         score_benchmark(get_ranker("r100"), cases, HarnessConfig(cap=cap))
