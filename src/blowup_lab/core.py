@@ -55,6 +55,9 @@ class VariableSet:
     char_p: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "names", tuple(self.names))  # a memo key must hash
+        if type(self.char_p) is not int:
+            raise TypeError(f"characteristic must be an int, got {self.char_p!r}")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"variable names must be distinct: {self.names}")
         if not self.names:

@@ -268,7 +268,7 @@ _HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
 _held_stream = lru_cache(maxsize=MEMO_ENTRIES)(_stream)
 
 #: Rank tables by ranker id, as (a weak reference to the ranker, a dict from
-#: key to gated rank): an entry goes when its ranker dies, or when a call
+#: key to gated rank): an entry goes when its ranker dies, or when a case
 #: leaves it holding more than MONOMIAL_MEMO_ENTRIES ranks.
 _tables: dict = {}
 
@@ -288,7 +288,7 @@ def memos() -> dict[str, tuple]:
     """Each process-wide memo's (entries, bound, hits, misses), by name.
 
     The six lru_caches report their cache_info().  "rank_tables" counts the
-    ranks of every live ranker's table, each of which a call leaves holding
+    ranks of every live ranker's table, each of which a case leaves holding
     at most MONOMIAL_MEMO_ENTRIES, and counts no hits or misses.
     """
     report = {}
@@ -327,16 +327,10 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     above it, a stream lasts only for its call.  run_trajectory is called on
     every call.
 
-    Every state gets its rank from the ranker's rank table (see
-    score_benchmark), so the ranker, which must be pure, is called once per
-    bit-distinct vector it has not ranked yet.
+    Ranks come from the ranker's rank table, kept and dropped as in
+    score_benchmark: a pure ranker is called once per new bit-distinct vector.
     """
-    table = _rank_table(ranker)
-    try:
-        trajectory, vectors, keys, ranks = _rank_run(initial, ranker, cfg, table)
-    finally:
-        if len(table) > MONOMIAL_MEMO_ENTRIES:
-            _tables.pop(id(ranker), None)
+    trajectory, vectors, keys, ranks = _rank_run(initial, ranker, cfg, _rank_table(ranker))
     entry = vectors[-1][:25]
     features = list(vectors) + [entry + (f25,) for _, f25 in keys[len(vectors) :]]
     return trajectory, features, [r[0] if type(r) is list else r for r in ranks]
@@ -347,10 +341,9 @@ def _rank_run(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict)
     # tail vector is built only when the ranker is called on it
     trajectory = run_trajectory(initial, cfg.cap)
     vectors, keys = (_held_stream if cfg.cap <= DEFAULT_CAP else _stream)(trajectory)
-    ranks = _GatedRanks(map(table.get, keys))
-    for t in [t for t, rank in enumerate(ranks) if rank is None]:
-        key = keys[t]
-        rank = table.get(key)  # an earlier state of this call may have added it
+    ranks = _GatedRanks()
+    for t, key in enumerate(keys):
+        rank = table.get(key)
         if rank is None:
             fv = vectors[t] if t < len(vectors) else vectors[-1][:25] + (key[1],)
             try:
@@ -360,7 +353,9 @@ def _rank_run(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict)
             except Exception:
                 rank = [None]
             table[key] = rank
-        ranks[t] = rank
+        ranks.append(rank)
+    if len(table) > MONOMIAL_MEMO_ENTRIES:
+        _tables.pop(id(ranker), None)
     return trajectory, vectors, keys, ranks
 
 
@@ -448,29 +443,26 @@ def score_benchmark(
     per bit-distinct feature vector it has not ranked (threads that reach one
     at once may each call it), plus the purity probe's two calls per case.
     The table is kept while the object lives, ranks of a call that raised
-    included, and dropped when a call leaves it holding more than
-    MONOMIAL_MEMO_ENTRIES ranks; a ranker that takes no weak reference gets a
-    fresh one per call.  A rank is gated once, when it enters the table, and
-    each case is audited on its gated ranks and its prefix vectors, so a tail
-    vector is built only when the ranker is called on it.
+    included, and dropped once a case leaves it holding more than
+    MONOMIAL_MEMO_ENTRIES ranks: the call goes on filling it, and a later
+    call gets a fresh one, as a ranker that takes no weak reference does.  A
+    rank is gated once, when it enters the table, and each case is audited
+    on its gated ranks and its prefix vectors, so a tail vector is built only
+    when the ranker is called on it.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")
 
     table = _rank_table(ranker)
-    try:
-        if workers <= 1:
-            reports = [_score_one(case, ranker, cfg, table) for case in cases]
-        else:
-            # imported here: concurrent.futures brings logging and queue, which
-            # a serial scoring never uses
-            from concurrent.futures import ThreadPoolExecutor
+    if workers <= 1:
+        reports = [_score_one(case, ranker, cfg, table) for case in cases]
+    else:
+        # imported here: concurrent.futures brings logging and queue, which
+        # a serial scoring never uses
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
-    finally:
-        if len(table) > MONOMIAL_MEMO_ENTRIES:
-            _tables.pop(id(ranker), None)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
 
     total = sum(r.total_violations for r in reports)
     staged = 0.0

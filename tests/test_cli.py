@@ -283,3 +283,44 @@ def test_unwritable_output_is_a_bad_argument(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert not path.parent.exists()
+
+
+#: sha256 of stdout and the exit code of `run` for every builtin ranker and
+#: suite, and of `verify-counterexamples --json`; these pin the CLI's output
+#: bytes, which a change to the rank path must leave as they are.
+_OUTPUT_DIGESTS = {
+    "run --ranker two_component --suite broad24":
+        (1, "e0da8ebc0f8946f4ae8d2002931f5838513187fecfe3753e9871fc79e353b801"),
+    "run --ranker two_component --suite focused71":
+        (0, "d8666a449e9139b5d5f287297279d3cc26b39907a7a8a37586e2c418ab0712c6"),
+    "run --ranker two_component --suite extended100":
+        (1, "b8224fe04140961d9683e2bfcda2f95849d4ec4d7fdd6d233de9b632c6e52a6b"),
+    "run --ranker clean_lex --suite broad24":
+        (1, "7888c90dd8e6177d0b9be956218b7813384f7bc5b285d69453bdafc6afd11000"),
+    "run --ranker clean_lex --suite focused71":
+        (0, "0e9e3344c921764cc860d3f53ff62ab5c4a210f1c01b9b4152a2b83924f5e23d"),
+    "run --ranker clean_lex --suite extended100":
+        (1, "4c64098b6b57348987275aae2b8472b78dcdd0ad0aad7ec595064490c3a8ab67"),
+    "run --ranker disc_lex --suite broad24":
+        (1, "f4956869e5e8c53b802d418ba130c945bb5482edc0c0a4f7244d7ea7e516b61b"),
+    "run --ranker disc_lex --suite focused71":
+        (0, "beb08f377a69068de901bbe5538697cbea622c68a3eb726463825e9b2276fa2d"),
+    "run --ranker disc_lex --suite extended100":
+        (1, "28432434e9604f31d84f771824c949a18a2be602e76359ba06c78d57d53a9285"),
+    "run --ranker r100 --suite broad24":
+        (1, "78e1f5d5689aecc1a3c94cf0cc2cb664fb21573162e98f1810b9734653ec1db5"),
+    "run --ranker r100 --suite focused71":
+        (0, "8a836d54d1863a0fa9c3db74f797715e0276d12927adc84deb63ec9bddbe85df"),
+    "run --ranker r100 --suite extended100":
+        (1, "3dff93e257163d22c11b127c6a8f3b3147f7505013c9235c673d575b66efad58"),
+    "verify-counterexamples --json":
+        (0, "f49f8744c5da5deda8567450985c23f3dee6231d5b95ae625ce03033c73ec64e"),
+}
+
+
+def test_builtin_outputs_are_pinned(capsys):
+    outputs = {}
+    for command in _OUTPUT_DIGESTS:
+        code, out, _ = _run(capsys, *command.split())
+        outputs[command] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert outputs == _OUTPUT_DIGESTS

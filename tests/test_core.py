@@ -28,6 +28,7 @@ from blowup_lab.core import (
     parse_polynomial,
     render_polynomial,
 )
+from blowup_lab.simulator import run_trajectory
 
 
 def test_variable_set_standard_dim4(vars4):
@@ -53,6 +54,22 @@ def test_variable_set_rejects_duplicates_and_bad_index():
         VariableSet(("x", "z"), 2, 3)
     with pytest.raises(AttributeError):
         VariableSet(("x", "z"), 3).elim_index = 0
+
+
+@pytest.mark.parametrize("char_p", [9.5, 3.0, True])
+def test_variable_set_refuses_a_characteristic_that_is_not_an_int(char_p):
+    # 9.5 passes trial division and 3.0 is prime by value; a bool is an int
+    # subclass, refused as HarnessConfig refuses it for its cap
+    with pytest.raises(TypeError, match="must be an int"):
+        VariableSet(("x", "z"), char_p)
+
+
+def test_variable_set_names_are_a_tuple():
+    # a list of names would make every trajectory's memo key unhashable
+    vars = VariableSet(["x", "y", "w", "z"], 3)
+    assert vars.names == ("x", "y", "w", "z") and vars == VariableSet.standard(4, 3)
+    run = run_trajectory(State.initial(parse_polynomial("z^3 + x^4*y^2", vars), vars), 10)
+    assert run.centers
 
 
 @pytest.mark.parametrize("name", ["", " ", "x^2", "2x", "x y", "x*y", "w+"])

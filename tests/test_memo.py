@@ -13,6 +13,7 @@ whether a ranker is still alive after ``gc.collect()``.
 
 from __future__ import annotations
 
+import doctest
 import functools
 import gc
 import importlib
@@ -24,6 +25,7 @@ import sys
 import weakref
 from collections.abc import Mapping
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -294,6 +296,12 @@ def test_cold_memos_clears_every_memo(cold_memos):
     assert cold["runs"] == (0, MEMO_ENTRIES, 0, 0)
     assert cold["streams"] == (0, MEMO_ENTRIES, 0, 0)
     assert cold["rank_tables"] == (0, MONOMIAL_MEMO_ENTRIES, None, None)
+
+
+def test_readme_examples_run():
+    # README's >>> example: a cold focused71 scoring and the runs memo's report
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert doctest.testfile(str(readme), module_relative=False) == (0, 5)
 
 
 #: The package's caches and module-level mappings that memos() does not
@@ -894,9 +902,9 @@ def test_rank_table_goes_with_its_ranker():
 
 
 def test_rank_table_past_its_bound_is_dropped_on_return():
-    # focused71 at cap 4096 has 8,343 bit-distinct vectors: the bound is
-    # checked once the call returns, so within the call each is ranked once,
-    # and the table is then dropped, so the next call ranks them all again
+    # focused71 at cap 4096 has 8,343 bit-distinct vectors: the case that
+    # crosses the bound drops the table and the call goes on filling it, so
+    # within the call each is ranked once, and the next call ranks them all again
     counted, calls = _counted(get_ranker("disc_lex"))
     cases = focused71()
     cfg = HarnessConfig(cap=4096)
@@ -906,6 +914,24 @@ def test_rank_table_past_its_bound_is_dropped_on_return():
     calls.clear()
     assert score_benchmark(counted, cases, cfg) == first
     assert len(calls) == 8343 + 2 * len(cases)
+
+
+def test_simulate_case_drops_a_rank_table_past_its_bound():
+    # the 5,001 states of z^3 + x^6 + w^6 at cap 5000 have 5,000 bit-distinct
+    # vectors, past the 4,096 ranks a table may keep: each is ranked once in
+    # the call, the table is not kept, and the next call ranks them all again
+    # (cap 4096 would not do: its 4,096 ranks make a table that is kept)
+    counted, calls = _counted(get_ranker("disc_lex"))
+    state = State.initial(_FIXED_TAIL_IDEAL, _VARS4)
+    cfg = HarnessConfig(cap=5000)
+    held = memos()["rank_tables"][0]
+    _, features, _ = simulate_case(state, counted, cfg)
+    assert len(features) == 5001
+    assert len(calls) == len(set(calls)) == 5000
+    assert memos()["rank_tables"][0] == held
+    calls.clear()
+    simulate_case(state, counted, cfg)
+    assert len(calls) == 5000
 
 
 def test_call_that_raises_keeps_its_ranks():
