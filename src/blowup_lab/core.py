@@ -108,7 +108,9 @@ class TaggedMonomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(e < 0 or not isinstance(e, int) for e in self.exponents):
+        if type(self.exponents) is not tuple:  # a memo key must hash
+            object.__setattr__(self, "exponents", tuple(self.exponents))
+        if any(not isinstance(e, int) or e < 0 for e in self.exponents):
             raise ValueError(f"exponents must be natural numbers: {self.exponents}")
         if not any(self.exponents):
             raise ValueError(f"a monomial needs a variable: {self.exponents}")
@@ -145,6 +147,8 @@ class IdealSpec:
     monomials: tuple[TaggedMonomial, ...]
 
     def __post_init__(self) -> None:
+        if type(self.monomials) is not tuple:  # a memo key must hash
+            object.__setattr__(self, "monomials", tuple(self.monomials))
         # every memo lookup hashes the spec, and every State built on it checks
         # the exponent lengths: derive both once per spec
         object.__setattr__(self, "_hash", hash((self.monomials,)))

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from blowup_lab.core import MIXED, OBLIQUE, IdealSpec, State, TaggedMonomial, VariableSet
-from blowup_lab.simulator import MEMO_ENTRIES, MONOMIAL_MEMO_ENTRIES, is_monic_z_power
+from blowup_lab.core import IdealSpec, State, VariableSet
+from blowup_lab.simulator import MEMO_ENTRIES, _monomial_facts
 
 #: Column names for trace export, indexed 0..25.
 FEATURE_NAMES = (
@@ -54,63 +54,7 @@ NUM_FEATURES = 26
 #: 11.  1000 is the canonical constant.
 JACOBIAN_SENTINEL = 1000.0
 
-_SHADE_TAGS = (MIXED, OBLIQUE)
-
 _EMPTY_IDEAL_FEATURES = tuple(1.0 if i == 9 else 0.0 for i in range(NUM_FEATURES))
-
-
-def _nu_p(n: int, p: int) -> int:
-    # p-adic valuation of a positive integer
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-@lru_cache(maxsize=MONOMIAL_MEMO_ENTRIES)
-def _monomial_facts(m: TaggedMonomial, p: int) -> tuple:
-    """What the ideal features read off one monomial in characteristic p.
-
-    (degree, e_z, base exponents, support mask, mask of the exponents not
-    divisible by p, monic z-order or 0, f5 and f18 contributions, pure-base
-    exponent or 0, Jacobian pair count, minimal p-adic valuation over the
-    support), where bit i of a mask stands for variable i.  The minimal
-    valuation is that of the gcd of the exponents.
-    """
-    e = m.exponents
-    d = sum(e)
-    support = notdiv = 0
-    for i, v in enumerate(e):
-        if v:
-            support |= 1 << i
-            if v % p:
-                notdiv |= 1 << i
-    ez = e[-1]
-    shade = m.tag in _SHADE_TAGS and d >= p
-    return (
-        d,
-        ez,
-        e[:-1],
-        support,
-        notdiv,
-        ez if is_monic_z_power(m) else 0,
-        1 if shade and d < 2 * p else 0,
-        1 if shade and notdiv else 0,
-        d if not ez and not support & (support - 1) else 0,
-        notdiv.bit_count(),
-        _nu_p(math.gcd(*e), p),
-    )
-
-
-def _weighted_order(terms: tuple, base_mult: tuple[int, ...]) -> float:
-    return min(
-        (
-            sum(a - b for a, b in zip(exps, base_mult) if a > b) / divisor
-            for exps, divisor in terms
-        ),
-        default=0.0,
-    )
 
 
 def hilbert_samuel_base(state: State) -> int:
@@ -138,19 +82,38 @@ def extract_features(state: State) -> tuple[float, ...]:
     The empty ideal yields the all-zero vector with the monomial-phase flag
     set.  Everything but f4, f8, f14 and f25 reads the ideal alone and comes
     from a process-wide memo of MEMO_ENTRIES distinct ideals, keyed by
-    (ideal, vars), whose entries aggregate the facts of each distinct
-    monomial, held in a memo of MONOMIAL_MEMO_ENTRIES (monomial, p) keys;
-    those four are integer arithmetic on the boundary.
+    (ideal, vars), whose entries aggregate each distinct monomial's facts
+    (simulator._monomial_facts, mostly filled already by the steps' charts);
+    those four are integer arithmetic on the boundary.  A step keeps at most
+    one positive base multiplicity, its chart variable's.  With none, f8 is 0
+    and each f14 term reads sum(e); with b at i alone, f8 reads min(e_i, b)
+    and each f14 term sum(e) - min(e_i, b); a state built with more takes the
+    general sums.  The integers are the general sums' either way, and the
+    floats are converted in the order f8, f14, f25.
     """
     if not state.ideal:
         return _EMPTY_IDEAL_FEATURES
-    values, min_base, weighted = _ideal_features(state.ideal, state.vars)
-    base_mult = state.boundary.multiplicities[:-1]
+    values, min_base, terms = _ideal_features(state.ideal, state.vars)
+    boundary = state.boundary
+    base_mult = boundary.multiplicities[:-1]
     fv = list(values)
-    fv[4] = float(state.boundary.positive_count)
-    fv[8] = float(min(sum(map(min, e, base_mult)) for e in min_base))
-    fv[14] = _weighted_order(weighted, base_mult)
-    fv[25] = float(state.boundary.mass)
+    fv[4] = float(boundary.positive_count)
+    hot = [i for i, b in enumerate(base_mult) if b]
+    if not hot:
+        fv[8] = 0.0
+        fv[14] = min([sum(e) / divisor for e, divisor in terms], default=0.0)
+    elif len(hot) == 1:
+        i = hot[0]
+        b = base_mult[i]
+        fv[8] = float(min(min([e[i] for e in min_base]), b))
+        fv[14] = min([(sum(e) - min(e[i], b)) / divisor for e, divisor in terms], default=0.0)
+    else:
+        fv[8] = float(min(sum(map(min, e, base_mult)) for e in min_base))
+        fv[14] = min(
+            (sum(a - b for a, b in zip(e, base_mult) if a > b) / divisor for e, divisor in terms),
+            default=0.0,
+        )
+    fv[25] = float(boundary.mass)
     return tuple(fv)
 
 
@@ -167,11 +130,11 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     when no monomial qualifies.  Excluding the monic z-power is essential:
     otherwise the minimum is trivially 0 on monic inputs.
 
-    Each monomial's facts come from _monomial_facts.  One pass over them
-    gathers the ideal-wide counts, masks and minima, and the minimal-degree
-    z-free monomials (f1, f15, f19, f20); a short second pass, once exc is
-    known, gathers the monomials of degree exc (f2, f3, f10, f24, f8) and the
-    f14 terms.  The float conversions run in a fixed order (f7, f11, then f0
+    Each monomial's facts come from simulator._monomial_facts.  One pass
+    over them gathers the ideal-wide counts, masks and minima, and the
+    minimal-degree z-free monomials (f1, f15, f19, f20); a short second pass,
+    once exc is known, gathers the monomials of degree exc (f2, f3, f10, f24,
+    f8) and the f14 terms.  The float conversions run in a fixed order (f7, f11, then f0
     to f24), so an out-of-range input always raises the same OverflowError.
     """
     p = vars.char_p

@@ -278,7 +278,7 @@ _CACHES = (
     ("chart", simulator._chart),
     ("rewrite", simulator._rewrite),
     ("runs", simulator._held_run),
-    ("monomial_facts", features._monomial_facts),
+    ("monomial_facts", simulator._monomial_facts),
     ("ideal_features", features._ideal_features),
     ("streams", _held_stream),
 )

@@ -9,11 +9,12 @@ variable) or after a fixed cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from blowup_lab.core import PURE_Z, Boundary, IdealSpec, State, TaggedMonomial, VariableSet
+from blowup_lab.core import MIXED, OBLIQUE, PURE_Z, Boundary, IdealSpec, State, TaggedMonomial, VariableSet
 
 CODIM2 = "codim2"
 DIVISOR_Z = "divisor_z"
@@ -26,10 +27,12 @@ DEFAULT_CAP = 30
 #: distinct ideals in extended100), so each is computed once across rankers.
 MEMO_ENTRIES = 512
 
-#: Entries kept by each per-monomial lru_cache (monomial rewrites and feature
-#: facts), and ranks kept by a harness rank table between calls.  The ideals of
-#: a run share a few monomials (focused71 has 64 at cap 30): each is done once.
+#: Entries kept by each per-monomial lru_cache (monomial rewrites and facts),
+#: and ranks kept by a harness rank table between calls.  The ideals of a run
+#: share a few monomials (focused71 has 64 at cap 30): each is done once.
 MONOMIAL_MEMO_ENTRIES = 4096
+
+_SHADE_TAGS = (MIXED, OBLIQUE)
 
 
 @dataclass(frozen=True)
@@ -92,34 +95,90 @@ def select_center(state: State) -> Center:
 
 
 def ideal_center(ideal: IdealSpec, vars: VariableSet) -> Center:
-    """select_center of any state with this ideal: the rule reads no boundary."""
+    """select_center of any state with this ideal: the rule reads no boundary.
+
+    The center is read off the ideal's monomial facts (the monomial_facts
+    memo) by the one pass that also gives a step its exceptional exponent.
+    """
     if not ideal:
         raise ValueError("cannot select a center for an empty ideal")
+    return _center_and_exc(ideal, vars)[0]
 
-    best_var = None
-    best_exp = -1
-    for m in ideal:
-        e = m.exponents
-        if e[-1] != 0:
-            continue
-        support = [i for i, v in enumerate(e) if v > 0]
-        if len(support) != 1:
-            continue
-        j = support[0]
-        if e[j] > best_exp:
-            best_exp = e[j]
-            best_var = j
-    if best_var is not None:
-        return Center(CODIM2, best_var)
 
-    base_monomials = [m for m in ideal if m.exponents[-1] == 0]
-    if base_monomials:
-        chosen = min(base_monomials, key=lambda m: m.total_degree)  # first minimum wins
-        e = chosen.exponents
-        j = max(vars.base_indices, key=lambda i: (e[i], -i))
-        return Center(CODIM2, j)
+def _nu_p(n: int, p: int) -> int:
+    # p-adic valuation of a positive integer
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
-    return Center(DIVISOR_Z, vars.elim_index)
+
+@lru_cache(maxsize=MONOMIAL_MEMO_ENTRIES)
+def _monomial_facts(m: TaggedMonomial, p: int) -> tuple:
+    """What the chart and the ideal features read off one monomial in
+    characteristic p.
+
+    (degree, e_z, base exponents, support mask, mask of the exponents not
+    divisible by p, monic z-order or 0, f5 and f18 contributions, pure-base
+    exponent or 0, Jacobian pair count, minimal p-adic valuation over the
+    support), where bit i of a mask stands for variable i.  The minimal
+    valuation is that of the gcd of the exponents.  The chart reads the
+    degree, e_z, base exponents, support, monic z-order and pure-base
+    exponent; the feature kernel reads them all.
+    """
+    e = m.exponents
+    d = sum(e)
+    support = notdiv = 0
+    for i, v in enumerate(e):
+        if v:
+            support |= 1 << i
+            if v % p:
+                notdiv |= 1 << i
+    ez = e[-1]
+    shade = m.tag in _SHADE_TAGS and d >= p
+    return (
+        d,
+        ez,
+        e[:-1],
+        support,
+        notdiv,
+        ez if is_monic_z_power(m) else 0,
+        1 if shade and d < 2 * p else 0,
+        1 if shade and notdiv else 0,
+        d if not ez and not support & (support - 1) else 0,
+        notdiv.bit_count(),
+        _nu_p(math.gcd(*e), p),
+    )
+
+
+def _center_and_exc(ideal: IdealSpec, vars: VariableSet) -> tuple[Center, int]:
+    # select_center and exceptional_exponent of a nonempty ideal, read off its
+    # monomial facts in one pass: the first pure-base monomial of maximal
+    # exponent names its one variable (its support is one bit), else the first
+    # z-free monomial of minimal degree names its first base variable of
+    # maximal exponent
+    p = vars.char_p
+    low = monic = free_low = math.inf
+    pure_exp = 0
+    pure = free = None
+    for m in ideal.monomials:
+        d, ez, base, sup, _, mz, _, _, pb, _, _ = _monomial_facts(m, p)
+        if d < low:
+            low = d
+        if mz and mz < monic:
+            monic = mz
+        if pb > pure_exp:
+            pure_exp, pure = pb, sup
+        elif not ez and d < free_low:
+            free_low, free = d, base
+    if pure is not None:
+        center = Center(CODIM2, pure.bit_length() - 1)
+    elif free is not None:
+        center = Center(CODIM2, free.index(max(free)))
+    else:
+        center = Center(DIVISOR_Z, vars.elim_index)
+    return center, monic if monic != math.inf else low
 
 
 def step(state: State) -> tuple[State, Center, int]:
@@ -149,9 +208,12 @@ def step(state: State) -> tuple[State, Center, int]:
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]:
     # the part of step() that reads only the ideal: (rewritten ideal, center,
-    # exceptional exponent), each monomial's image taken from _rewrite
-    exc = exceptional_exponent(ideal)
-    center = ideal_center(ideal, vars)
+    # exceptional exponent), the center and exponent read off the monomial
+    # facts by _center_and_exc, which leaves them warm for the feature kernel,
+    # and each monomial's image taken from _rewrite
+    if not ideal:
+        raise ValueError("exceptional exponent of an empty ideal is undefined")
+    center, exc = _center_and_exc(ideal, vars)
     v = center.var_index
     images = [_rewrite(m, v, exc) for m in ideal]
     return IdealSpec(tuple(m for m in images if m is not None)), center, exc

@@ -2,9 +2,10 @@
 test oracles.
 
 ``plain_ideal_features`` computes every boundary-free feature straight from
-the exponent vectors, feature by feature, and ``plain_chart`` rewrites every
-monomial of an ideal in place, where the package works out each distinct
-monomial's feature facts and chart image once and aggregates them per ideal.
+the exponent vectors, feature by feature, and ``plain_chart`` picks the center
+with ``plain_center`` and rewrites every monomial of an ideal in place, where
+the package works out each distinct monomial's facts and chart image once and
+aggregates them per ideal, for the chart and the features alike.
 ``plain_run`` steps with ``plain_chart`` to the cap, checking for monomial
 phase after every step and keeping every state, where ``run_trajectory``
 keeps a fixed-ideal V(z) tail as a count.  ``plain_score`` extracts every
@@ -34,11 +35,12 @@ from blowup_lab.harness import (
 )
 from blowup_lab.simulator import (
     CODIM2,
+    DIVISOR_Z,
+    Center,
     exceptional_exponent,
     is_monic_z_power,
     is_monomial_phase,
     monic_z_orders,
-    select_center,
 )
 
 _SHADE_TAGS = (MIXED, OBLIQUE)
@@ -176,11 +178,42 @@ def plain_ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple:
     return values, min_base, plain_weighted_order_terms(ideal, exc)
 
 
+def plain_center(ideal: IdealSpec, vars: VariableSet) -> Center:
+    """select_center's rule as a scan of the exponent vectors: the pure-base
+    monomial of maximal exponent, else the z-free monomial of minimal degree
+    and its base variable of maximal exponent, else V(z); ties go to list and
+    variable order."""
+    best_var = None
+    best_exp = -1
+    for m in ideal:
+        e = m.exponents
+        if e[-1] != 0:
+            continue
+        support = [i for i, v in enumerate(e) if v > 0]
+        if len(support) != 1:
+            continue
+        j = support[0]
+        if e[j] > best_exp:
+            best_exp = e[j]
+            best_var = j
+    if best_var is not None:
+        return Center(CODIM2, best_var)
+
+    base_monomials = [m for m in ideal if m.exponents[-1] == 0]
+    if base_monomials:
+        chosen = min(base_monomials, key=lambda m: m.total_degree)  # first minimum wins
+        e = chosen.exponents
+        j = max(vars.base_indices, key=lambda i: (e[i], -i))
+        return Center(CODIM2, j)
+
+    return Center(DIVISOR_Z, vars.elim_index)
+
+
 def plain_chart(ideal: IdealSpec, vars: VariableSet) -> tuple:
     """(the ideal after one step, the center, the exceptional exponent), with
     every monomial rewritten in place."""
     exc = exceptional_exponent(ideal)
-    center = select_center(State.initial(ideal, vars))
+    center = plain_center(ideal, vars)
     v = center.var_index
 
     transformed = []

@@ -171,6 +171,27 @@ def test_monomial_rejects_the_zero_vector():
     assert TaggedMonomial(MIXED, (0, 0, 0, 1)).total_degree == 1
 
 
+def test_monomial_and_ideal_store_their_sequences_as_tuples(vars4):
+    # a list made both unhashable, so building either raised a TypeError
+    m = TaggedMonomial(MIXED, [1, 2, 0, 3])
+    assert type(m.exponents) is tuple
+    assert m == TaggedMonomial(MIXED, (1, 2, 0, 3))
+    assert hash(m) == hash(TaggedMonomial(MIXED, (1, 2, 0, 3)))
+    ideal = IdealSpec([TaggedMonomial(PURE_Z, [0, 0, 0, 3]), m])
+    assert type(ideal.monomials) is tuple
+    assert ideal == parse_polynomial("z^3 + x*y^2*z^3", vars4)
+    assert hash(ideal) == hash(parse_polynomial("z^3 + x*y^2*z^3", vars4))
+    run = run_trajectory(State.initial(ideal, vars4))
+    assert run is run_trajectory(State.initial(parse_polynomial("z^3 + x*y^2*z^3", vars4), vars4))
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0, None, [1]], ids=["str", "float", "none", "list"])
+def test_monomial_refuses_an_exponent_that_is_not_an_int(bad):
+    # the type is checked before the sign, so "1" < 0 cannot raise a TypeError
+    with pytest.raises(ValueError, match="natural numbers"):
+        TaggedMonomial(MIXED, (0, bad, 0, 1))
+
+
 def test_render_round_trip_simple(vars4):
     text = "z^3 + x^12 + y^6 + w^9*y^4 + x^9*y^8*w^10"
     ideal = parse_polynomial(text, vars4)

@@ -34,7 +34,7 @@ from blowup_lab.features import (
 from blowup_lab.harness import HarnessConfig, score_benchmark
 from blowup_lab.rankers import get_ranker
 from blowup_lab.simulator import run_trajectory
-from oracles import plain_ideal_features
+from oracles import plain_features, plain_ideal_features
 
 
 def _state(text, vars4, boundary=None):
@@ -353,6 +353,14 @@ def _extract_initial(ideal, vars):
     return extract_features(State.initial(ideal, vars))
 
 
+def _vector_outcome(kernel, state):
+    try:
+        fv = kernel(state)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc).__name__, str(exc)
+    return tuple(v.hex() for v in fv)
+
+
 def _outcome(kernel, ideal, vars):
     try:
         kernel(ideal, vars)
@@ -384,6 +392,51 @@ def test_out_of_range_features_raise_as_the_plain_kernel(capsys, tmp_path, poly,
     )
     assert main(["run", "--ranker", "r100", "--suite", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {want[0]}: {want[1]}\n"
+
+
+_NAMES4 = ("x", "y", "w", "z")
+_F14_PROBE = f"z^3 + x^2 + z*x^{10**400}"
+_F14_OVERFLOW = ("OverflowError", "integer division result too large for a float")
+_F25_OVERFLOW = ("OverflowError", "int too large to convert to float")
+
+
+@pytest.mark.parametrize(
+    "names, poly, boundary, raises",
+    [
+        # dim 1: no base variable, so no positive base multiplicity
+        (("z",), "z^3 + z^5", (0,), None),
+        (("z",), "z^3 + z^5", (4,), None),
+        (("z",), "z^3", (2,), None),
+        # none, one (below and above the exponents it meets), two, three
+        (_NAMES4, "z^3 + x^4*y^2 + y^5*w + z*x^2*w", (0, 0, 0, 5), None),
+        (_NAMES4, "z^3 + x^4*y^2 + y^5*w + z*x^2*w", (3, 0, 0, 1), None),
+        (_NAMES4, "z^3 + x^4*y^2 + y^5*w + z*x^2*w", (0, 9, 0, 0), None),
+        (_NAMES4, "z^3 + x^4*y^2 + y^5*w + z*x^2*w", (3, 1, 0, 1), None),
+        (_NAMES4, "x*y*w + x^4*y^2 + z*x^2*w", (1, 3, 2, 4), None),
+        # no f14 term: the one monomial is the skipped monic z-power
+        (_NAMES4, "z^3", (0, 0, 0, 0), None),
+        (_NAMES4, "z^3", (0, 0, 5, 3), None),
+        (_NAMES4, "z^3", (1, 2, 0, 0), None),
+        # f14 past the float range, before f25 past it
+        (_NAMES4, _F14_PROBE, (0, 0, 0, 0), _F14_OVERFLOW),
+        (_NAMES4, _F14_PROBE, (3, 0, 0, 0), _F14_OVERFLOW),
+        (_NAMES4, _F14_PROBE, (3, 1, 0, 0), _F14_OVERFLOW),
+        (_NAMES4, _F14_PROBE, (0, 0, 0, 10**400), _F14_OVERFLOW),
+        # f25 past the float range
+        (_NAMES4, "z^3 + x^6 + w^6", (10**400, 0, 0, 0), _F25_OVERFLOW),
+        (_NAMES4, "z^3 + x^6 + w^6", (0, 0, 0, 10**400), _F25_OVERFLOW),
+        (_NAMES4, "z^3 + x^6 + w^6", (10**400, 1, 0, 0), _F25_OVERFLOW),
+    ],
+)
+def test_boundary_features_match_the_plain_kernel(names, poly, boundary, raises):
+    # f8 and f14 take a short path for at most one positive base multiplicity;
+    # bit for bit, and raise for raise, they are the plain kernel's sums
+    vars = VariableSet(names, 3)
+    state = State(parse_polynomial(poly, vars), Boundary(boundary), vars)
+    want = _vector_outcome(plain_features, state)
+    assert _vector_outcome(extract_features, state) == want
+    if raises is not None:
+        assert want == raises
 
 
 def test_padic_depth_of_a_huge_exponent_is_cheap(vars4):

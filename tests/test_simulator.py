@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from blowup_lab.benchmarks import broad24, extended100, generate_broad_surrogates
+from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
 from blowup_lab.core import (
     Boundary,
     IdealSpec,
@@ -152,6 +153,20 @@ def test_step_boundary_support_invariant(vars4):
         state = new
         if not state.ideal:
             break
+
+
+def test_run_states_hold_at_most_one_positive_base_multiplicity():
+    # extract_features works f8 and f14 out from the positive base
+    # multiplicities, by a short path when there is at most one: a step keeps
+    # only its chart variable's, and every run starts from the zero boundary
+    held = Counter()
+    cases = broad24() + focused71() + extended100() + generate_broad_surrogates(1, 200)
+    for case in cases:
+        for state in run_trajectory(case.initial_state(), 120).states:
+            positive = sum(1 for b in state.boundary.multiplicities[:-1] if b > 0)
+            assert positive <= 1, case.name
+            held[positive] += 1
+    assert held[0] > 0 and held[1] > 0
 
 
 def test_step_monomial_count_never_increases(vars4):
