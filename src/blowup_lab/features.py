@@ -84,12 +84,13 @@ def extract_features(state: State) -> tuple[float, ...]:
     from a process-wide memo of MEMO_ENTRIES distinct ideals, keyed by
     (ideal, vars), whose entries aggregate each distinct monomial's facts
     (simulator._monomial_facts, mostly filled already by the steps' charts);
-    those four are integer arithmetic on the boundary.  A step keeps at most
-    one positive base multiplicity, its chart variable's.  With none, f8 is 0
-    and each f14 term reads sum(e); with b at i alone, f8 reads min(e_i, b)
-    and each f14 term sum(e) - min(e_i, b); a state built with more takes the
-    general sums.  The integers are the general sums' either way, and the
-    floats are converted in the order f8, f14, f25.
+    those four are integer arithmetic on the boundary.  f8 and f14 add up
+    min(e_i, b_i) over the base variables of positive multiplicity b_i only,
+    one variable at a time (a run's states have at most one, the chart
+    variable's): f8 is the least such sum over the monomials of degree exc,
+    and each f14 term divides the residual sum(e) minus it, which is
+    sum_i max(0, e_i - b_i).  The floats are converted in the order f8, f14,
+    f25.
     """
     if not state.ideal:
         return _EMPTY_IDEAL_FEATURES
@@ -98,21 +99,14 @@ def extract_features(state: State) -> tuple[float, ...]:
     base_mult = boundary.multiplicities[:-1]
     fv = list(values)
     fv[4] = float(boundary.positive_count)
-    hot = [i for i, b in enumerate(base_mult) if b]
-    if not hot:
-        fv[8] = 0.0
-        fv[14] = min([sum(e) / divisor for e, divisor in terms], default=0.0)
-    elif len(hot) == 1:
-        i = hot[0]
-        b = base_mult[i]
-        fv[8] = float(min(min([e[i] for e in min_base]), b))
-        fv[14] = min([(sum(e) - min(e[i], b)) / divisor for e, divisor in terms], default=0.0)
-    else:
-        fv[8] = float(min(sum(map(min, e, base_mult)) for e in min_base))
-        fv[14] = min(
-            (sum(a - b for a, b in zip(e, base_mult) if a > b) / divisor for e, divisor in terms),
-            default=0.0,
-        )
+    f8 = [0] * len(min_base)
+    cut = [0] * len(terms)
+    for i, b in enumerate(base_mult):
+        if b:
+            f8 = [c + min(e[i], b) for c, e in zip(f8, min_base)]
+            cut = [c + min(e[i], b) for c, (e, _) in zip(cut, terms)]
+    fv[8] = float(min(f8))
+    fv[14] = min([(sum(e) - c) / divisor for c, (e, divisor) in zip(cut, terms)], default=0.0)
     fv[25] = float(boundary.mass)
     return tuple(fv)
 
@@ -134,8 +128,9 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     over them gathers the ideal-wide counts, masks and minima, and the
     minimal-degree z-free monomials (f1, f15, f19, f20); a short second pass,
     once exc is known, gathers the monomials of degree exc (f2, f3, f10, f24,
-    f8) and the f14 terms.  The float conversions run in a fixed order (f7, f11, then f0
-    to f24), so an out-of-range input always raises the same OverflowError.
+    f8) and the f14 terms.  The float conversions run in a fixed order (f7,
+    f11, then f0 to f24), so an out-of-range input always raises the same
+    OverflowError.
     """
     p = vars.char_p
     facts = [_monomial_facts(m, p) for m in ideal.monomials]

@@ -429,8 +429,8 @@ _F25_OVERFLOW = ("OverflowError", "int too large to convert to float")
     ],
 )
 def test_boundary_features_match_the_plain_kernel(names, poly, boundary, raises):
-    # f8 and f14 take a short path for at most one positive base multiplicity;
-    # bit for bit, and raise for raise, they are the plain kernel's sums
+    # f8 and f14 sum over the positive base multiplicities only; bit for bit,
+    # and raise for raise, they are the plain kernel's sums over every one
     vars = VariableSet(names, 3)
     state = State(parse_polynomial(poly, vars), Boundary(boundary), vars)
     want = _vector_outcome(plain_features, state)

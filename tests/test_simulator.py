@@ -156,9 +156,9 @@ def test_step_boundary_support_invariant(vars4):
 
 
 def test_run_states_hold_at_most_one_positive_base_multiplicity():
-    # extract_features works f8 and f14 out from the positive base
-    # multiplicities, by a short path when there is at most one: a step keeps
-    # only its chart variable's, and every run starts from the zero boundary
+    # extract_features sums f8 and f14 over the positive base multiplicities
+    # only, so a run's state costs it at most one term: a step keeps only its
+    # chart variable's, and every run starts from the zero boundary
     held = Counter()
     cases = broad24() + focused71() + extended100() + generate_broad_surrogates(1, 200)
     for case in cases:
