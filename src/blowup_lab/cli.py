@@ -30,9 +30,8 @@ from blowup_lab.harness import (
     DEFAULT_CAP,
     DEFAULT_WINDOW,
     HarnessConfig,
-    audit_trajectory,
+    _case_streams,
     score_benchmark,
-    simulate_case,
     verify_counterexamples,
 )
 from blowup_lab.rankers import RankerTemplate, get_ranker, ranker_names
@@ -102,8 +101,7 @@ def _cmd_trace(args) -> int:
     ideal = parse_polynomial(args.poly, vars)
     cfg = HarnessConfig(window=args.m, cap=args.cap)
     state = State.initial(ideal, vars)
-    trajectory, feature_stream, rank_stream = simulate_case(state, ranker, cfg)
-    audit = audit_trajectory(rank_stream, feature_stream, cfg, name="trace")
+    trajectory, feature_stream, rank_stream, audit = _case_streams(state, ranker, cfg, "trace")
 
     # a rank the ranker raised on is None and gets empty cells
     rank_width = next((len(tuple(r)) for r in rank_stream if r is not None), 0)

@@ -133,9 +133,12 @@ def audit_trajectory(
     marks are then those of the steps before the first malformed rank, and
     0/False from it on.
     """
-    # scoring passes _GatedRanks: ranks gated once per distinct rank (a list
-    # for a malformed one) over the prefix vectors, and a tail step reads its
-    # entry vector, whose f0, f9 and f14 a tail keeps
+    # _evaluate passes _GatedRanks: ranks gated once per distinct rank (a list
+    # for a malformed one) over the prefix vectors; a tail step reads its entry
+    # vector, whose f0, f9 and f14 a tail keeps.  The raw branch serves callers
+    # outside the package.  The switch stays here, not in a private core, as
+    # the benchmark's tracer times scoring's audits by wrapping this function;
+    # re-gating every step cost 5-8% of surrogate_long's cases per second
     gated = type(ranks) is _GatedRanks
     if not gated and len(ranks) != len(features):
         raise ValueError("rank and feature streams must have equal length")
@@ -330,15 +333,23 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     Ranks come from the ranker's rank table, kept and dropped as in
     score_benchmark: a pure ranker is called once per new bit-distinct vector.
     """
-    trajectory, vectors, keys, ranks = _rank_run(initial, ranker, cfg, _rank_table(ranker))
+    return _case_streams(initial, ranker, cfg, "case")[:3]
+
+
+def _case_streams(initial: State, ranker: Callable, cfg: HarnessConfig, name: str) -> tuple:
+    # _evaluate's run and audit with every state's vector (a tail vector is
+    # the entry vector with its key's f25) and every raw rank (a malformed
+    # rank unwrapped): (trajectory, features, ranks, audit)
+    run, vectors, keys, ranks, audit = _evaluate(initial, ranker, cfg, _rank_table(ranker), name)
     entry = vectors[-1][:25]
     features = list(vectors) + [entry + (f25,) for _, f25 in keys[len(vectors) :]]
-    return trajectory, features, [r[0] if type(r) is list else r for r in ranks]
+    return run, features, [r[0] if type(r) is list else r for r in ranks], audit
 
 
-def _rank_run(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict) -> tuple:
-    # Gives (trajectory, prefix vectors, every state's key, _GatedRanks); a
-    # tail vector is built only when the ranker is called on it
+def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict, name: str):
+    # The one case protocol, one call each to run_trajectory and
+    # audit_trajectory: (trajectory, prefix vectors, every state's key,
+    # _GatedRanks, audit); a tail vector is built only for a ranker call
     trajectory = run_trajectory(initial, cfg.cap)
     vectors, keys = (_held_stream if cfg.cap <= DEFAULT_CAP else _stream)(trajectory)
     ranks = _GatedRanks()
@@ -356,7 +367,8 @@ def _rank_run(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict)
         ranks.append(rank)
     if len(table) > MONOMIAL_MEMO_ENTRIES:
         _tables.pop(id(ranker), None)
-    return trajectory, vectors, keys, ranks
+    audit = audit_trajectory(ranks, vectors, cfg, name=name)
+    return trajectory, vectors, keys, ranks, audit
 
 
 def _rank_table(ranker: Callable) -> dict:
@@ -412,8 +424,8 @@ class SuiteReport:
 
 
 def _score_one(case, ranker: Callable, cfg: HarnessConfig, table: dict) -> ViolationReport:
-    _, vectors, _, ranks = _rank_run(case.initial_state(), ranker, cfg, table)
-    report = audit_trajectory(ranks, vectors, cfg, name=case.name).report
+    _, vectors, _, _, audit = _evaluate(case.initial_state(), ranker, cfg, table, case.name)
+    report = audit.report
     # purity gate: a ranker that fails the determinism probe is structurally
     # broken even if each single evaluation looks fine
     if not report.structural_failure and not check_determinism(ranker, vectors[0]):
@@ -536,24 +548,18 @@ class CounterexampleFindings:
 def verify_counterexamples() -> CounterexampleFindings:
     """Re-run the two stall instances against the three relevant rankers."""
     vars4 = VariableSet.standard(4, 3)
-    lex_state = State.initial(parse_polynomial(LEX_STALL_POLY, vars4), vars4)
-    disc_state = State.initial(parse_polynomial(DISC_STALL_POLY, vars4), vars4)
 
-    cfg_m10 = HarnessConfig(window=10)
-    cfg_m5 = HarnessConfig(window=5)
+    def evaluate(poly: str, ranker_name: str, window: int, name: str) -> tuple:
+        state = State.initial(parse_polynomial(poly, vars4), vars4)
+        ranker = get_ranker(ranker_name)
+        cfg = HarnessConfig(window=window)
+        _, _, _, ranks, audit = _evaluate(state, ranker, cfg, _rank_table(ranker), name)
+        return ranks, audit.report
 
-    clean_lex = get_ranker("clean_lex")
-    _, lex_features, lex_ranks = simulate_case(lex_state, clean_lex, cfg_m10)
-    lex_report = audit_trajectory(lex_ranks, lex_features, cfg_m10, name="lex-stall").report
+    lex_ranks, lex_report = evaluate(LEX_STALL_POLY, "clean_lex", 10, "lex-stall")
     c2_zero = next((t for t, r in enumerate(lex_ranks) if r[1] == 0.0), None)
-
-    disc = get_ranker("disc_lex")
-    _, disc_features, disc_ranks = simulate_case(disc_state, disc, cfg_m5)
-    disc_report = audit_trajectory(disc_ranks, disc_features, cfg_m5, name="disc-stall").report
-
-    r100 = get_ranker("r100")
-    _, r100_features, r100_ranks = simulate_case(disc_state, r100, cfg_m5)
-    r100_report = audit_trajectory(r100_ranks, r100_features, cfg_m5, name="r100-clean").report
+    disc_ranks, disc_report = evaluate(DISC_STALL_POLY, "disc_lex", 5, "disc-stall")
+    _, r100_report = evaluate(DISC_STALL_POLY, "r100", 5, "r100-clean")
 
     return CounterexampleFindings(
         lex_tuple_delay_m10=lex_report.delay_violations >= 1,

@@ -90,19 +90,14 @@ def select_center(state: State) -> Center:
        list order), then its base variable of maximal exponent (ties by
        variable order).
     3. Else (every monomial involves z) fall back to the divisor V(z).
+
+    The rule reads no boundary: the center is read off the ideal's monomial
+    facts (the monomial_facts memo) by the one pass that also gives a step
+    its exceptional exponent.
     """
-    return ideal_center(state.ideal, state.vars)
-
-
-def ideal_center(ideal: IdealSpec, vars: VariableSet) -> Center:
-    """select_center of any state with this ideal: the rule reads no boundary.
-
-    The center is read off the ideal's monomial facts (the monomial_facts
-    memo) by the one pass that also gives a step its exceptional exponent.
-    """
-    if not ideal:
+    if not state.ideal:
         raise ValueError("cannot select a center for an empty ideal")
-    return _center_and_exc(ideal, vars)[0]
+    return _center_and_exc(state.ideal, state.vars)[0]
 
 
 def _nu_p(n: int, p: int) -> int:

@@ -18,10 +18,12 @@ import pytest
 
 import blowup_lab
 from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broad_surrogates
-from blowup_lab.core import State, parse_polynomial
+from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.harness import (
+    DISC_STALL_POLY,
     FLAG_DELAY,
     HEAVY_WEIGHT,
+    LEX_STALL_POLY,
     LIGHT_WEIGHT,
     STAGES,
     STRUCTURAL_PENALTY,
@@ -425,3 +427,23 @@ def test_audit_detail_digest_is_pinned():
     assert digest.hexdigest() == (
         "e781d1ac827179b65796bdc938459860d86185ed2f73f01fa2747f86447dff1e"
     )
+
+
+def test_evaluated_audit_is_the_public_audit_of_the_streams():
+    # scoring, trace and verify-counterexamples take _evaluate's audit of the
+    # gated ranks over the prefix vectors; the public audit of simulate_case's
+    # raw ranks over every state's vector must give the same report, step
+    # flags and best-so-far marks, to the bit
+    vars4 = VariableSet.standard(4, 3)
+    runs = [(c.initial_state(), c.name, 5) for c in broad24() + focused71() + extended100()]
+    for poly in (LEX_STALL_POLY, DISC_STALL_POLY):
+        state = State.initial(parse_polynomial(poly, vars4), vars4)
+        runs += [(state, "stall", 5), (state, "stall", 10)]
+    assert len(runs) == 24 + 71 + 100 + 4
+    harness = blowup_lab.harness
+    for ranker in map(get_ranker, ranker_names()):
+        for state, name, window in runs:
+            cfg = HarnessConfig(window=window, cap=30)
+            got = harness._evaluate(state, ranker, cfg, harness._rank_table(ranker), name)[4]
+            _, features, ranks = simulate_case(state, ranker, cfg)
+            assert repr(got) == repr(audit_trajectory(ranks, features, cfg, name=name))

@@ -20,12 +20,12 @@ from blowup_lab.simulator import (
     DIVISOR_Z,
     Center,
     exceptional_exponent,
-    ideal_center,
     is_monomial_phase,
     run_trajectory,
     select_center,
     step,
 )
+from oracles import plain_center
 
 
 def _state(text: str, vars4, boundary=None) -> State:
@@ -80,19 +80,22 @@ def test_select_center_no_pure_base(vars4):
     assert center == Center(CODIM2, 0)
 
 
-def test_ideal_center_is_select_center_on_the_suites():
+def test_select_center_is_the_plain_scan_on_the_suites():
     # every state the builtin suites and the surrogates reach, with the
-    # boundary each run gives it: the center depends on the ideal alone, and
-    # each recorded step used it
+    # boundary each run gives it: the center is the oracle's scan of the
+    # exponent vectors and depends on the ideal alone, each recorded step used
+    # it, and the step's exceptional exponent is the exceptional_exponent scan,
+    # which oracles.plain_chart takes as its reference
     states = 0
     for case in broad24() + extended100() + generate_broad_surrogates(1, 200):
         run = run_trajectory(case.initial_state(), 120)
         for k, state in enumerate(run.prefix):
-            if not state.ideal:  # monomial phase; neither picks a center
+            if not state.ideal:  # monomial phase; no center, no exponent
                 continue
-            center = ideal_center(state.ideal, state.vars)
-            assert center == select_center(state)
+            center = select_center(state)
+            assert center == plain_center(state.ideal, state.vars)
             assert center == select_center(State.initial(state.ideal, state.vars))
+            assert step(state)[2] == exceptional_exponent(state.ideal)
             if k < len(run.centers):
                 assert center == run.centers[k]
             states += 1
