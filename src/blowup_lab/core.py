@@ -244,16 +244,17 @@ def _parse_exponent(term: str, pos: int) -> tuple[int, int]:
         pos += 1
     while pos < len(term) and term[pos].isdigit():
         pos += 1
-    text = term[start:pos].strip()
-    if not text or not text.lstrip("+-").isdigit():
-        raise ParseError(f"malformed exponent in {term!r}")
+    # int() also refuses digits isdigit() passes (²) and more than its digit limit
+    try:
+        value = int(term[start:pos])
+    except ValueError as exc:
+        raise ParseError(f"malformed exponent in {term!r}: {exc}") from None
     if braced:
         while pos < len(term) and term[pos].isspace():
             pos += 1
         if pos >= len(term) or term[pos] != "}":
             raise ParseError(f"unterminated exponent brace in {term!r}")
         pos += 1
-    value = int(text)
     if value <= 0:
         raise ParseError(f"exponent must be a positive integer, got {value} in {term!r}")
     return value, pos

@@ -316,8 +316,10 @@ class _GatedRanks(list):
 
 
 def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
-    """Run a trajectory and evaluate features and ranks along it.
+    """Run, rank and audit one case: (trajectory, features, ranks, audit).
 
+    The audit is the one scoring makes for the case, before its purity gate
+    and named "case"; audit_trajectory gives it again from the streams.
     Ranker crashes, and ranks that raise while read, are recorded as None
     ranks, which the audit treats as structural failures; a malformed rank is
     given as the ranker returned it, and a well-formed one as a tuple.
@@ -333,14 +335,7 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     Ranks come from the ranker's rank table, kept and dropped as in
     score_benchmark: a pure ranker is called once per new bit-distinct vector.
     """
-    return _case_streams(initial, ranker, cfg, "case")[:3]
-
-
-def _case_streams(initial: State, ranker: Callable, cfg: HarnessConfig, name: str) -> tuple:
-    # _evaluate's run and audit with every state's vector (a tail vector is
-    # the entry vector with its key's f25) and every raw rank (a malformed
-    # rank unwrapped): (trajectory, features, ranks, audit)
-    run, vectors, keys, ranks, audit = _evaluate(initial, ranker, cfg, _rank_table(ranker), name)
+    run, vectors, keys, ranks, audit = _evaluate(initial, ranker, cfg, _rank_table(ranker), "case")
     entry = vectors[-1][:25]
     features = list(vectors) + [entry + (f25,) for _, f25 in keys[len(vectors) :]]
     return run, features, [r[0] if type(r) is list else r for r in ranks], audit
@@ -549,17 +544,16 @@ def verify_counterexamples() -> CounterexampleFindings:
     """Re-run the two stall instances against the three relevant rankers."""
     vars4 = VariableSet.standard(4, 3)
 
-    def evaluate(poly: str, ranker_name: str, window: int, name: str) -> tuple:
+    def evaluate(poly: str, ranker_name: str, window: int) -> tuple:
         state = State.initial(parse_polynomial(poly, vars4), vars4)
-        ranker = get_ranker(ranker_name)
         cfg = HarnessConfig(window=window)
-        _, _, _, ranks, audit = _evaluate(state, ranker, cfg, _rank_table(ranker), name)
+        _, _, ranks, audit = simulate_case(state, get_ranker(ranker_name), cfg)
         return ranks, audit.report
 
-    lex_ranks, lex_report = evaluate(LEX_STALL_POLY, "clean_lex", 10, "lex-stall")
+    lex_ranks, lex_report = evaluate(LEX_STALL_POLY, "clean_lex", 10)
     c2_zero = next((t for t, r in enumerate(lex_ranks) if r[1] == 0.0), None)
-    disc_ranks, disc_report = evaluate(DISC_STALL_POLY, "disc_lex", 5, "disc-stall")
-    _, r100_report = evaluate(DISC_STALL_POLY, "r100", 5, "r100-clean")
+    disc_ranks, disc_report = evaluate(DISC_STALL_POLY, "disc_lex", 5)
+    _, r100_report = evaluate(DISC_STALL_POLY, "r100", 5)
 
     return CounterexampleFindings(
         lex_tuple_delay_m10=lex_report.delay_violations >= 1,

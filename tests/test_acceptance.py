@@ -119,8 +119,8 @@ def test_criterion_3_r100_extended100():
 def test_criterion_4_lex_tuple_stall():
     state = State.initial(parse_polynomial(LEX_STALL_POLY, VARS4), VARS4)
     cfg10 = HarnessConfig(window=10)
-    _, features, ranks = simulate_case(state, get_ranker("clean_lex"), cfg10)
-    report = audit_trajectory(ranks, features, cfg10, name="lex-stall").report
+    _, features, ranks, audit = simulate_case(state, get_ranker("clean_lex"), cfg10)
+    report = audit.report
     cfg5 = HarnessConfig(window=5)
     report5 = audit_trajectory(ranks, features, cfg5, name="lex-stall").report
     first_zero = next((t for t, r in enumerate(ranks) if r[1] == 0.0), None)
@@ -139,10 +139,10 @@ def test_criterion_4_lex_tuple_stall():
 
 def test_criterion_5_disc_stall_and_r100_repair():
     state = State.initial(parse_polynomial(DISC_STALL_POLY, VARS4), VARS4)
-    _, features, ranks = simulate_case(state, get_ranker("disc_lex"), CFG)
-    report = audit_trajectory(ranks, features, CFG, name="disc-stall").report
-    _, r_features, r_ranks = simulate_case(state, get_ranker("r100"), CFG)
-    r_report = audit_trajectory(r_ranks, r_features, CFG, name="r100").report
+    _, _, ranks, audit = simulate_case(state, get_ranker("disc_lex"), CFG)
+    report = audit.report
+    _, _, _, r_audit = simulate_case(state, get_ranker("r100"), CFG)
+    r_report = r_audit.report
     ok = (
         report.delay_violations >= 1
         and ranks[0] == (3, 4280, 531, 5000, 220)

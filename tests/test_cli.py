@@ -8,7 +8,17 @@ import json
 import pytest
 
 from blowup_lab import simulator
+from blowup_lab.benchmarks import broad24
 from blowup_lab.cli import main
+from blowup_lab.core import render_polynomial
+from blowup_lab.harness import (
+    FLAG_ALIGN_F0,
+    FLAG_ALIGN_F14,
+    FLAG_DELAY,
+    FLAG_NORMALIZATION,
+    HEAVY_WEIGHT,
+    LIGHT_WEIGHT,
+)
 
 
 def _run(capsys, *argv):
@@ -163,6 +173,41 @@ def test_trace_bad_poly(capsys):
     code, _, err = _run(capsys, "trace", "--ranker", "disc_lex", "--poly", "z^3 + q^2")
     assert code == 2
     assert "error" in err
+
+
+def test_trace_unreadable_exponent_is_a_bad_argument(capsys):
+    # str.isdigit() passes a superscript digit that int() refuses
+    code, _, err = _run(capsys, "trace", "--ranker", "r100", "--poly", "z^3 + x^\u00b2")
+    assert code == 2
+    assert err.startswith("error: ") and "'x^\u00b2'" in err and err.count("\n") == 1
+
+
+def test_trace_flags_explain_the_run_verdict(capsys, tmp_path):
+    # r100 leaves three broad24 cases unsolved, with f14 half-weights among
+    # their violations; each case's trace flags must add up to its violations
+    # in the run report
+    path = tmp_path / "run.json"
+    code, _, _ = _run(capsys, "run", "--ranker", "r100", "--suite", "broad24", "--json", str(path))
+    assert code == 1
+    violations = {c["name"]: c["violations"] for c in json.loads(path.read_text())["cases"]}
+    weights = {
+        FLAG_DELAY: 1.0,
+        FLAG_NORMALIZATION: 1.0,
+        FLAG_ALIGN_F0: HEAVY_WEIGHT,
+        FLAG_ALIGN_F14: LIGHT_WEIGHT,
+    }
+    traced = {}
+    for case in broad24():
+        code, out, _ = _run(
+            capsys, "trace", "--ranker", "r100", "--p", str(case.p),
+            "--vars", ",".join(case.vars.names),
+            "--poly", render_polynomial(case.ideal, case.vars),
+        )
+        assert code == 0
+        flags = [int(row["violation_flags"]) for row in csv.DictReader(io.StringIO(out))]
+        traced[case.name] = sum(w for f in flags for flag, w in weights.items() if f & flag)
+    assert traced == violations
+    assert sorted(set(violations.values())) == [0.0, 3.5, 10.0, 25.5]
 
 
 def test_overflowing_exponent_is_a_bad_argument(capsys, tmp_path):

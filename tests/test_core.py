@@ -120,6 +120,71 @@ def test_parse_bad_exponents(vars4):
         parse_polynomial("z^3 + x^1.5", vars4)
 
 
+@pytest.mark.parametrize(
+    "text, term",
+    [
+        ("z^3 + x^\u00b2", "x^\u00b2"),
+        ("x^{\u00b2}", "x^{\u00b2}"),
+        pytest.param(
+            "z^3 + x^" + "7" * 5000,
+            "x^" + "7" * 5000,
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+            ),
+        ),
+    ],
+    ids=["superscript", "braced-superscript", "5000-digits"],
+)
+def test_parse_exponent_that_int_refuses(vars4, text, term):
+    # str.isdigit() passes superscript digits, and int() refuses them, as it
+    # refuses more digits than sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, vars4)
+    assert repr(term) in str(info.value)
+
+
+#: Pieces of the grammar: two names of which one prefixes the other, the
+#: operators, spaces and tabs, a tag word, and ASCII, superscript and
+#: Arabic-Indic digits (str.isdigit() passes all three, int() the first and
+#: the last).
+_DIGITS = "0123456789" + "\u00b9\u00b2\u00b3" + "\u0660\u0661\u0663\u0669"
+_PIECES = ["x", "xy", "z", "^", "{", "}", "*", "+", ":", " ", "\t", "oblique"] + list(_DIGITS)
+
+
+@st.composite
+def _polynomial_texts(draw):
+    # well-formed sums of tagged products, with up to three pieces inserted
+    # anywhere, so that most texts come near the grammar's edges
+    pieces = []
+    for term in range(draw(st.integers(1, 3))):
+        if term:
+            pieces.append(draw(st.sampled_from(["+", " + ", "\t+"])))
+        if draw(st.booleans()):
+            pieces.append(draw(st.sampled_from(["oblique:", "oblique : "])))
+        for factor in range(draw(st.integers(1, 3))):
+            if factor:
+                pieces.append(draw(st.sampled_from(["", "*", " ", "\t", " * "])))
+            pieces.append(draw(st.sampled_from(["x", "xy", "z"])))
+            if draw(st.booleans()):
+                digits = draw(st.text(st.sampled_from(_DIGITS), min_size=1, max_size=3))
+                pieces.append("^" + ("{" + digits + "}" if draw(st.booleans()) else digits))
+    for _ in range(draw(st.integers(0, 3))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_PIECES)))
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomial_texts())
+def test_parse_accepts_or_raises_parse_error(text):
+    vars3 = VariableSet(("x", "xy", "z"), 3)
+    try:
+        ideal = parse_polynomial(text, vars3)
+    except ParseError:
+        return
+    assert isinstance(ideal, IdealSpec)
+    assert parse_polynomial(render_polynomial(ideal, vars3), vars3) == ideal
+
+
 def test_parse_empty_input(vars4):
     with pytest.raises(ParseError):
         parse_polynomial("", vars4)

@@ -21,7 +21,10 @@ from blowup_lab.benchmarks import broad24, extended100, focused71, generate_broa
 from blowup_lab.core import State, VariableSet, parse_polynomial
 from blowup_lab.harness import (
     DISC_STALL_POLY,
+    FLAG_ALIGN_F0,
+    FLAG_ALIGN_F14,
     FLAG_DELAY,
+    FLAG_NORMALIZATION,
     HEAVY_WEIGHT,
     LEX_STALL_POLY,
     LIGHT_WEIGHT,
@@ -310,7 +313,7 @@ def test_rank_that_raises_while_read_is_a_crash(suite_focused71, default_cfg):
     cases = suite_focused71[:3]
     report = score_benchmark(cut_short, cases, default_cfg)
     assert [r.structural_failure for r in report.reports] == [True] * 3
-    _, _, ranks = simulate_case(cases[0].initial_state(), cut_short, default_cfg)
+    _, _, ranks, _ = simulate_case(cases[0].initial_state(), cut_short, default_cfg)
     assert all(r is None for r in ranks)
 
 
@@ -401,8 +404,31 @@ def test_simulate_case_records_crash_as_none(vars4, default_cfg):
     def exploder(fv):
         raise RuntimeError("boom")
 
-    _, _, ranks = simulate_case(state, exploder, default_cfg)
+    _, _, ranks, _ = simulate_case(state, exploder, default_cfg)
     assert all(r is None for r in ranks)
+
+
+def test_step_flags_account_for_the_report():
+    # a trace explains a run's verdict: in an audit that is not structural,
+    # the per-step flags reproduce every count of the report
+    cfg = HarnessConfig(cap=30)
+    audited = 0
+    for ranker in map(get_ranker, ranker_names()):
+        for case in broad24() + focused71() + extended100():
+            _, _, _, audit = simulate_case(case.initial_state(), ranker, cfg)
+            report = audit.report
+            if report.structural_failure:
+                continue
+            flagged = {
+                flag: sum(1 for f in audit.step_flags if f & flag)
+                for flag in (FLAG_DELAY, FLAG_NORMALIZATION, FLAG_ALIGN_F0, FLAG_ALIGN_F14)
+            }
+            assert flagged[FLAG_DELAY] == report.delay_violations, case.name
+            assert flagged[FLAG_NORMALIZATION] == report.normalization_violations, case.name
+            assert flagged[FLAG_ALIGN_F0] * HEAVY_WEIGHT == report.align_f0, case.name
+            assert flagged[FLAG_ALIGN_F14] * LIGHT_WEIGHT == report.align_f14, case.name
+            audited += 1
+    assert audited == 4 * (24 + 71 + 100)
 
 
 def test_audit_detail_digest_is_pinned():
@@ -418,7 +444,7 @@ def test_audit_detail_digest_is_pinned():
         cfg = HarnessConfig(cap=cap)
         ranker = get_ranker(name)
         for case in cases:
-            _, features, ranks = simulate_case(case.initial_state(), ranker, cfg)
+            _, features, ranks, _ = simulate_case(case.initial_state(), ranker, cfg)
             audit = audit_trajectory(ranks, features, cfg, name=case.name)
             detail = (audit.report.to_json_dict(), audit.step_flags, audit.best_improved)
             digest.update(repr(detail).encode())
@@ -430,20 +456,18 @@ def test_audit_detail_digest_is_pinned():
 
 
 def test_evaluated_audit_is_the_public_audit_of_the_streams():
-    # scoring, trace and verify-counterexamples take _evaluate's audit of the
-    # gated ranks over the prefix vectors; the public audit of simulate_case's
-    # raw ranks over every state's vector must give the same report, step
-    # flags and best-so-far marks, to the bit
+    # simulate_case returns _evaluate's audit of the gated ranks over the
+    # prefix vectors, the one scoring makes; the public audit of its raw
+    # ranks over every state's vector must give the same report, step flags
+    # and best-so-far marks, to the bit
     vars4 = VariableSet.standard(4, 3)
-    runs = [(c.initial_state(), c.name, 5) for c in broad24() + focused71() + extended100()]
+    runs = [(c.initial_state(), 5) for c in broad24() + focused71() + extended100()]
     for poly in (LEX_STALL_POLY, DISC_STALL_POLY):
         state = State.initial(parse_polynomial(poly, vars4), vars4)
-        runs += [(state, "stall", 5), (state, "stall", 10)]
+        runs += [(state, 5), (state, 10)]
     assert len(runs) == 24 + 71 + 100 + 4
-    harness = blowup_lab.harness
     for ranker in map(get_ranker, ranker_names()):
-        for state, name, window in runs:
+        for state, window in runs:
             cfg = HarnessConfig(window=window, cap=30)
-            got = harness._evaluate(state, ranker, cfg, harness._rank_table(ranker), name)[4]
-            _, features, ranks = simulate_case(state, ranker, cfg)
-            assert repr(got) == repr(audit_trajectory(ranks, features, cfg, name=name))
+            _, features, ranks, got = simulate_case(state, ranker, cfg)
+            assert repr(got) == repr(audit_trajectory(ranks, features, cfg))

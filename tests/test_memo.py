@@ -197,10 +197,10 @@ def test_compact_tail_matches_plain_loop(state, cap, ranker):
     fresh = replace(rank_fn)
     assert fresh == rank_fn and fresh is not rank_fn
     for rank_with in (fresh, fresh, rank_fn):
-        run, feature_stream, rank_stream = simulate_case(state, rank_with, cfg)
+        run, feature_stream, rank_stream, audit = simulate_case(state, rank_with, cfg)
         assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in plain_features]
         assert [_rank_hex(r) for r in rank_stream] == [_rank_hex(r) for r in want_ranks]
-        assert audit_trajectory(rank_stream, feature_stream, cfg) == plain_audit
+        assert audit == plain_audit
         assert (run is trajectory) == (cap <= DEFAULT_CAP)
     assert memos()["streams"][0] == (1 if cap <= DEFAULT_CAP else 0)
 
@@ -239,7 +239,8 @@ def test_non_int_caps_are_refused():
 def test_fixed_point_tail_is_kept_as_a_count():
     cap = 4096
     state = State.initial(parse_polynomial("z^3 + x^6 + w^6", _VARS4), _VARS4)
-    trajectory, feature_stream, _ = simulate_case(state, get_ranker("r100"), HarnessConfig(cap=cap))
+    cfg = HarnessConfig(cap=cap)
+    trajectory, feature_stream, _, _ = simulate_case(state, get_ranker("r100"), cfg)
     assert trajectory.monomial_step is None
     assert trajectory.tail_len == cap + 1 - len(trajectory.prefix) > 4000
     assert len(trajectory.states) == len(feature_stream) == cap + 1
@@ -370,21 +371,21 @@ def test_returned_streams_are_the_callers_own(cold_memos):
     state = focused71()[0].initial_state()
     rank_fn = get_ranker("disc_lex")
     cfg = HarnessConfig()
-    first, feature_stream, rank_stream = simulate_case(state, rank_fn, cfg)
+    first, feature_stream, rank_stream, _ = simulate_case(state, rank_fn, cfg)
     want = [_hex(fv) for fv in feature_stream]
     assert len(want) == DEFAULT_CAP + 1
     feature_stream[0] = (0.0,) * 26
     feature_stream.reverse()
     del feature_stream[-10:]
     rank_stream.clear()
-    again_run, again, ranks = simulate_case(state, rank_fn, cfg)
+    again_run, again, ranks, _ = simulate_case(state, rank_fn, cfg)
     assert again_run is first and memos()["streams"][0] == 1
     assert [_hex(fv) for fv in again] == want
     assert len(ranks) == DEFAULT_CAP + 1
 
 
 def _stream_hex(result):
-    _, feature_stream, rank_stream = result
+    _, feature_stream, rank_stream, _ = result
     return [_hex(fv) for fv in feature_stream], [_rank_hex(r) for r in rank_stream]
 
 
@@ -730,7 +731,7 @@ def test_rank_table_matches_plain_loop(initials, cap, kind, signed, forms):
         return len({struct.pack("26d", *fv) for fvs in streams for fv in fvs})
 
     def check(rank_with, state, fvs, ranks):
-        _, feature_stream, rank_stream = simulate_case(state, rank_with, cfg)
+        _, feature_stream, rank_stream, _ = simulate_case(state, rank_with, cfg)
         assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in fvs]
         assert [_rank_hex(r) for r in rank_stream] == ranks
 
@@ -925,7 +926,7 @@ def test_simulate_case_drops_a_rank_table_past_its_bound():
     state = State.initial(_FIXED_TAIL_IDEAL, _VARS4)
     cfg = HarnessConfig(cap=5000)
     held = memos()["rank_tables"][0]
-    _, features, _ = simulate_case(state, counted, cfg)
+    _, features, _, _ = simulate_case(state, counted, cfg)
     assert len(features) == 5001
     assert len(calls) == len(set(calls)) == 5000
     assert memos()["rank_tables"][0] == held
