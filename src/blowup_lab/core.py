@@ -192,10 +192,6 @@ class Boundary:
     def mass(self) -> int:
         return sum(self.multiplicities)
 
-    @property
-    def positive_count(self) -> int:
-        return sum(1 for m in self.multiplicities if m > 0)
-
 
 @dataclass(frozen=True)
 class State:
@@ -234,6 +230,11 @@ def infer_tag(exponents: tuple[int, ...], vars: VariableSet) -> str:
     return MIXED
 
 
+#: The digits the grammar reads; str.isdigit() and int() also take others
+#: (superscripts, Arabic-Indic digits), which the parser refuses.
+_DIGITS = "0123456789"
+
+
 def _parse_exponent(term: str, pos: int) -> tuple[int, int]:
     # pos sits just after '^'; accepts 12 or {12}, rejects anything non-integer
     braced = pos < len(term) and term[pos] == "{"
@@ -242,9 +243,12 @@ def _parse_exponent(term: str, pos: int) -> tuple[int, int]:
     start = pos
     if pos < len(term) and term[pos] in "+-":
         pos += 1
-    while pos < len(term) and term[pos].isdigit():
+    digits = pos
+    while pos < len(term) and term[pos] in _DIGITS:
         pos += 1
-    # int() also refuses digits isdigit() passes (²) and more than its digit limit
+    if pos == digits:
+        raise ParseError(f"malformed exponent in {term!r}: expected digits 0-9")
+    # int() also refuses more digits than its limit
     try:
         value = int(term[start:pos])
     except ValueError as exc:
@@ -282,9 +286,9 @@ def _parse_term(term: str, vars: VariableSet) -> TaggedMonomial:
         if ch.isspace() or ch == "*":
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < len(term) and term[pos].isdigit():
+            while pos < len(term) and term[pos] in _DIGITS:
                 pos += 1
             if not at_start or term[start:pos] != "1":
                 raise ParseError(f"coefficients other than 1 are not allowed: {term!r}")
@@ -317,7 +321,8 @@ def parse_polynomial(text: str, vars: VariableSet) -> IdealSpec:
     Each monomial is a '*'- or juxtaposition-separated product of var^exp
     factors; exponents may be written bare (x^9) or braced (x^{9}).  A term
     may be prefixed with "tag:" to override the inferred tag.  Coefficients
-    are absent or equal to 1 and are discarded.
+    are absent or equal to 1 and are discarded.  Exponents and the unit
+    coefficient are written in the ASCII digits 0-9 only.
     """
     if not text or not text.strip():
         raise ParseError("empty polynomial")

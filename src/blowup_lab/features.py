@@ -88,26 +88,26 @@ def extract_features(state: State) -> tuple[float, ...]:
     min(e_i, b_i) over the base variables of positive multiplicity b_i only,
     one variable at a time (a run's states have at most one, the chart
     variable's): f8 is the least such sum over the monomials of degree exc,
-    and each f14 term divides the residual sum(e) minus it, which is
-    sum_i max(0, e_i - b_i).  The floats are converted in the order f8, f14,
-    f25.
+    and each f14 term divides the residual, its base degree sum(e) minus it,
+    which is sum_i max(0, e_i - b_i).  The floats are converted in the order
+    f8, f14, f25.
     """
     if not state.ideal:
         return _EMPTY_IDEAL_FEATURES
     values, min_base, terms = _ideal_features(state.ideal, state.vars)
-    boundary = state.boundary
-    base_mult = boundary.multiplicities[:-1]
+    mult = state.boundary.multiplicities
     fv = list(values)
-    fv[4] = float(boundary.positive_count)
+    # multiplicities are nonnegative, so the nonzero ones are the positive ones
+    fv[4] = float(len(mult) - mult.count(0))
     f8 = [0] * len(min_base)
     cut = [0] * len(terms)
-    for i, b in enumerate(base_mult):
+    for i, b in enumerate(mult[:-1]):
         if b:
             f8 = [c + min(e[i], b) for c, e in zip(f8, min_base)]
-            cut = [c + min(e[i], b) for c, (e, _) in zip(cut, terms)]
+            cut = [c + min(e[i], b) for c, (e, _, _) in zip(cut, terms)]
     fv[8] = float(min(f8))
-    fv[14] = min([(sum(e) - c) / divisor for c, (e, divisor) in zip(cut, terms)], default=0.0)
-    fv[25] = float(boundary.mass)
+    fv[14] = min([(s - c) / divisor for c, (_, divisor, s) in zip(cut, terms)], default=0.0)
+    fv[25] = float(state.boundary.mass)
     return tuple(fv)
 
 
@@ -117,12 +117,12 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
 
     Returns the 26 entries with f4, f8, f14 and f25 left at 0.0, the base
     exponents of the monomials of degree exc (for f8), and the (base
-    exponents, divisor) terms f14 ranges over.  f14 is a boundary-aware
-    weighted-order proxy: over every monomial except the first pure z-power
-    of exponent exc, residualize the base exponents against the boundary and
-    record |residual| / e_z (or / exc when z-free); f14 is the minimum, or 0
-    when no monomial qualifies.  Excluding the monic z-power is essential:
-    otherwise the minimum is trivially 0 on monic inputs.
+    exponents, divisor, base degree) terms f14 ranges over.  f14 is a
+    boundary-aware weighted-order proxy: over every monomial except the first
+    pure z-power of exponent exc, residualize the base exponents against the
+    boundary and record |residual| / e_z (or / exc when z-free); f14 is the
+    minimum, or 0 when no monomial qualifies.  Excluding the monic z-power is
+    essential: otherwise the minimum is trivially 0 on monic inputs.
 
     Each monomial's facts come from simulator._monomial_facts.  One pass
     over them gathers the ideal-wide counts, masks and minima, and the
@@ -182,7 +182,7 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
             if mz == exc and not skipped:
                 skipped = True
                 continue
-        terms.append((base, ez or exc))
+        terms.append((base, ez or exc, d - ez))
 
     f2 = vars.dim - touched.bit_count()
     f6 = 0 if notdiv else 1

@@ -252,17 +252,12 @@ def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
 
 
 def _stream(trajectory) -> tuple:
-    # (prefix vectors, every state's rank-table key (the first 25 doubles as
-    # bytes, f25)); a tail's keys share its entry's bytes.  f25, a non-negative
-    # int's float, is never -0.0 or NaN, so equal keys are equal bits
+    # (prefix vectors, their rank-table keys (the first 25 doubles as bytes,
+    # f25)); a tail's ranks come from the ranker's tail runs, so no tail key is
+    # built here.  f25, a non-negative int's float, is never -0.0 or NaN, so
+    # equal keys are equal bits
     vectors = tuple([extract_features(s) for s in trajectory.prefix])
-    keys = [(_HEAD.pack(*fv[:25]), fv[25]) for fv in vectors]
-    if trajectory.tail_len:
-        head = keys[-1][0]
-        mass = trajectory.prefix[-1].boundary.mass
-        exc = trajectory.excs[-1]
-        keys += [(head, float(mass + j * exc)) for j in range(1, trajectory.tail_len + 1)]
-    return vectors, keys
+    return vectors, [(_HEAD.pack(*fv[:25]), fv[25]) for fv in vectors]
 
 
 _HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
@@ -271,8 +266,10 @@ _HEAD = struct.Struct(f"{NUM_FEATURES - 1}d")
 _held_stream = lru_cache(maxsize=MEMO_ENTRIES)(_stream)
 
 #: Rank tables by ranker id, as (a weak reference to the ranker, a dict from
-#: key to gated rank): an entry goes when its ranker dies, or when a case
-#: leaves it holding more than MONOMIAL_MEMO_ENTRIES ranks.
+#: key to gated rank, the tail runs): an entry goes when its ranker dies, or
+#: when a case leaves its dict holding more than MONOMIAL_MEMO_ENTRIES ranks.
+#: A tail run is the tuple of gated ranks of a fixed-ideal tail's steps, by
+#: (entry head bytes, entry mass as an int, exc); a longer tail replaces it.
 _tables: dict = {}
 
 
@@ -292,13 +289,14 @@ def memos() -> dict[str, tuple]:
 
     The six lru_caches report their cache_info().  "rank_tables" counts the
     ranks of every live ranker's table, each of which a case leaves holding
-    at most MONOMIAL_MEMO_ENTRIES, and counts no hits or misses.
+    at most MONOMIAL_MEMO_ENTRIES, and counts no hits or misses; a table's
+    tail runs hold ranks of the table and are not counted.
     """
     report = {}
     for name, cache in _CACHES:
         info = cache.cache_info()
         report[name] = (info.currsize, info.maxsize, info.hits, info.misses)
-    ranks = sum(len(table) for _, table in list(_tables.values()))
+    ranks = sum(len(held[1]) for held in list(_tables.values()))
     report["rank_tables"] = (ranks, MONOMIAL_MEMO_ENTRIES, None, None)
     return report
 
@@ -326,57 +324,84 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     Features are extracted on the trajectory's prefix only: on its V(z) tail
     the ideal and the base multiplicities are fixed, so each tail vector is
     the last prefix vector with the boundary mass f25 raised by the
-    exceptional exponent per step.  At a cap up to DEFAULT_CAP, where
+    exceptional exponent excs[-1] per step.  At a cap up to DEFAULT_CAP, where
     run_trajectory hands back a held run, the run's stream is held beside it
     in the "streams" memo, so a case is extracted once while both are held;
     above it, a stream lasts only for its call.  run_trajectory is called on
     every call.
 
-    Ranks come from the ranker's rank table, kept and dropped as in
-    score_benchmark: a pure ranker is called once per new bit-distinct vector.
+    Ranks come from the ranker's rank table and tail runs, kept and dropped
+    as in score_benchmark: a pure ranker is called once per new bit-distinct
+    vector.
     """
-    run, vectors, keys, ranks, audit = _evaluate(initial, ranker, cfg, _rank_table(ranker), "case")
-    entry = vectors[-1][:25]
-    features = list(vectors) + [entry + (f25,) for _, f25 in keys[len(vectors) :]]
+    run, vectors, ranks, audit = _evaluate(initial, ranker, cfg, _rank_table(ranker), "case")
+    features = list(vectors)
+    if run.tail_len:
+        entry, mass, exc = vectors[-1][:25], run.prefix[-1].boundary.mass, run.excs[-1]
+        features += [entry + (float(mass + j * exc),) for j in range(1, run.tail_len + 1)]
     return run, features, [r[0] if type(r) is list else r for r in ranks], audit
 
 
-def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, table: dict, name: str):
+def _gated(ranker: Callable, fv: tuple):
+    # the ranker's rank of fv, gated once: an exact well-formed tuple is its
+    # own gated form, a malformed rank a one-item list (None for a crash)
+    try:
+        raw = ranker(fv)
+        return _as_rank(raw) or [raw]
+    except Exception:
+        return [None]
+
+
+def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, tables: tuple, name: str):
     # The one case protocol, one call each to run_trajectory and
-    # audit_trajectory: (trajectory, prefix vectors, every state's key,
-    # _GatedRanks, audit); a tail vector is built only for a ranker call
+    # audit_trajectory: (trajectory, prefix vectors, _GatedRanks, audit).
+    # tables is the ranker's (rank table, tail runs).  A tail's ranks are the
+    # first tail_len of its run, which is extended through the table only
+    # past its length and published whole, so threads never see it change; a
+    # tail vector is built only for a ranker call
+    table, runs = tables
     trajectory = run_trajectory(initial, cfg.cap)
     vectors, keys = (_held_stream if cfg.cap <= DEFAULT_CAP else _stream)(trajectory)
     ranks = _GatedRanks()
-    for t, key in enumerate(keys):
+    for fv, key in zip(vectors, keys):
         rank = table.get(key)
         if rank is None:
-            fv = vectors[t] if t < len(vectors) else vectors[-1][:25] + (key[1],)
-            try:
-                raw = ranker(fv)
-                # gated once: an exact well-formed tuple is its own gated form
-                rank = _as_rank(raw) or [raw]
-            except Exception:
-                rank = [None]
-            table[key] = rank
+            rank = table[key] = _gated(ranker, fv)
         ranks.append(rank)
+    tail_len = trajectory.tail_len
+    if tail_len:
+        head = keys[-1][0]
+        mass, exc = trajectory.prefix[-1].boundary.mass, trajectory.excs[-1]
+        tail = (head, mass, exc)
+        run = runs.get(tail, ())
+        if len(run) < tail_len:
+            entry = vectors[-1][:25]
+            more = []
+            for j in range(len(run) + 1, tail_len + 1):
+                key = (head, float(mass + j * exc))
+                rank = table.get(key)
+                if rank is None:
+                    rank = table[key] = _gated(ranker, entry + key[1:])
+                more.append(rank)
+            run = runs[tail] = run + tuple(more)
+        ranks += run[:tail_len]
     if len(table) > MONOMIAL_MEMO_ENTRIES:
         _tables.pop(id(ranker), None)
     audit = audit_trajectory(ranks, vectors, cfg, name=name)
-    return trajectory, vectors, keys, ranks, audit
+    return trajectory, vectors, ranks, audit
 
 
-def _rank_table(ranker: Callable) -> dict:
-    # the ranker's table, found by identity; a ranker that takes no weak
-    # reference gets a fresh table, kept nowhere
+def _rank_table(ranker: Callable) -> tuple:
+    # the ranker's (rank table, tail runs), found by identity; a ranker that
+    # takes no weak reference gets fresh ones, kept nowhere
     key = id(ranker)
     held = _tables.get(key)
     if held is None or held[0]() is not ranker:
         try:
-            held = _tables[key] = (weakref.ref(ranker, lambda _: _tables.pop(key, None)), {})
+            held = _tables[key] = (weakref.ref(ranker, lambda _: _tables.pop(key, None)), {}, {})
         except TypeError:
-            return {}
-    return held[1]
+            return {}, {}
+    return held[1:]
 
 
 @dataclass(frozen=True)
@@ -418,8 +443,8 @@ class SuiteReport:
         }
 
 
-def _score_one(case, ranker: Callable, cfg: HarnessConfig, table: dict) -> ViolationReport:
-    _, vectors, _, _, audit = _evaluate(case.initial_state(), ranker, cfg, table, case.name)
+def _score_one(case, ranker: Callable, cfg: HarnessConfig, tables: tuple) -> ViolationReport:
+    _, vectors, _, audit = _evaluate(case.initial_state(), ranker, cfg, tables, case.name)
     report = audit.report
     # purity gate: a ranker that fails the determinism probe is structurally
     # broken even if each single evaluation looks fine
@@ -455,21 +480,24 @@ def score_benchmark(
     call gets a fresh one, as a ranker that takes no weak reference does.  A
     rank is gated once, when it enters the table, and each case is audited
     on its gated ranks and its prefix vectors, so a tail vector is built only
-    when the ranker is called on it.
+    when the ranker is called on it.  Beside the table, each fixed-ideal tail
+    keeps its gated ranks as one run per (entry vector, entry mass,
+    exceptional exponent), shared by every case that enters it and dropped
+    with the table; a case reads its tail's ranks off the run in one slice.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")
 
-    table = _rank_table(ranker)
+    tables = _rank_table(ranker)
     if workers <= 1:
-        reports = [_score_one(case, ranker, cfg, table) for case in cases]
+        reports = [_score_one(case, ranker, cfg, tables) for case in cases]
     else:
         # imported here: concurrent.futures brings logging and queue, which
         # a serial scoring never uses
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, table), cases))
+            reports = list(pool.map(lambda c: _score_one(c, ranker, cfg, tables), cases))
 
     total = sum(r.total_violations for r in reports)
     staged = 0.0

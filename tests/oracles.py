@@ -56,7 +56,8 @@ def _nu_p(n: int, p: int) -> int:
 
 
 def plain_weighted_order_terms(ideal: IdealSpec, exc: int) -> tuple:
-    """(base exponents, divisor) of every monomial but the first pure z-power of exponent exc."""
+    """(base exponents, divisor, base degree) of every monomial but the first
+    pure z-power of exponent exc."""
     skip = next(
         (
             idx
@@ -66,7 +67,7 @@ def plain_weighted_order_terms(ideal: IdealSpec, exc: int) -> tuple:
         None,
     )
     return tuple(
-        (m.exponents[:-1], m.exponents[-1] or exc)
+        (m.exponents[:-1], m.exponents[-1] or exc, sum(m.exponents[:-1]))
         for idx, m in enumerate(ideal)
         if idx != skip
     )
@@ -266,7 +267,7 @@ def plain_features(state: State) -> tuple:
     fv[4] = float(sum(1 for m in mult if m > 0))
     fv[8] = float(min(sum(min(a, b) for a, b in zip(e, base)) for e in min_base))
     fv[14] = min(
-        (sum(a - b for a, b in zip(e, base) if a > b) / divisor for e, divisor in terms),
+        (sum(a - b for a, b in zip(e, base) if a > b) / divisor for e, divisor, _ in terms),
         default=0.0,
     )
     fv[25] = float(sum(mult))

@@ -176,7 +176,7 @@ def test_trace_bad_poly(capsys):
 
 
 def test_trace_unreadable_exponent_is_a_bad_argument(capsys):
-    # str.isdigit() passes a superscript digit that int() refuses
+    # str.isdigit() passes a superscript digit, which the grammar refuses
     code, _, err = _run(capsys, "trace", "--ranker", "r100", "--poly", "z^3 + x^\u00b2")
     assert code == 2
     assert err.startswith("error: ") and "'x^\u00b2'" in err and err.count("\n") == 1

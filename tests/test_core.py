@@ -136,8 +136,26 @@ def test_parse_bad_exponents(vars4):
     ids=["superscript", "braced-superscript", "5000-digits"],
 )
 def test_parse_exponent_that_int_refuses(vars4, text, term):
-    # str.isdigit() passes superscript digits, and int() refuses them, as it
-    # refuses more digits than sys.get_int_max_str_digits()
+    # str.isdigit() passes superscript digits, which the grammar refuses, as
+    # int() refuses more digits than sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, vars4)
+    assert repr(term) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, term",
+    [
+        ("x^\u0666", "x^\u0666"),
+        ("z^\u0663 + x^{\u0666}", "z^\u0663"),
+        ("x^\u00b2", "x^\u00b2"),
+        ("\u0661*z^3", "\u0661*z^3"),
+    ],
+    ids=["arabic-indic-exponent", "arabic-indic-sum", "superscript", "arabic-indic-coefficient"],
+)
+def test_parse_reads_ascii_digits_only(vars4, text, term):
+    # int() reads Arabic-Indic digits and str.isdigit() passes superscripts;
+    # exponents and the unit coefficient take 0-9 alone
     with pytest.raises(ParseError) as info:
         parse_polynomial(text, vars4)
     assert repr(term) in str(info.value)
@@ -146,7 +164,7 @@ def test_parse_exponent_that_int_refuses(vars4, text, term):
 #: Pieces of the grammar: two names of which one prefixes the other, the
 #: operators, spaces and tabs, a tag word, and ASCII, superscript and
 #: Arabic-Indic digits (str.isdigit() passes all three, int() the first and
-#: the last).
+#: the last, and the grammar the first only).
 _DIGITS = "0123456789" + "\u00b9\u00b2\u00b3" + "\u0660\u0661\u0663\u0669"
 _PIECES = ["x", "xy", "z", "^", "{", "}", "*", "+", ":", " ", "\t", "oblique"] + list(_DIGITS)
 
@@ -182,6 +200,7 @@ def test_parse_accepts_or_raises_parse_error(text):
     except ParseError:
         return
     assert isinstance(ideal, IdealSpec)
+    assert all(ch in "0123456789" for ch in text if ch.isdigit())
     assert parse_polynomial(render_polynomial(ideal, vars3), vars3) == ideal
 
 

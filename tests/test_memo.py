@@ -993,6 +993,134 @@ def test_ranker_without_weak_references_gets_a_table_per_call():
         assert memos()["rank_tables"][0] == held
 
 
+# Tail runs: a ranker keeps one run of gated ranks per fixed-ideal tail, by
+# (entry vector, entry mass, exc).  These cases all enter the fixed ideal z^3
+# under V(z), after prefixes of 2 to 11 states, at entry masses 3, 4 and 6
+# (exc 3), so their tails share every key with one another or none: a run
+# keyed without the entry mass would hand mass 6 the ranks of mass 3's tail,
+# one step ahead.  The first case has the shortest tail and the second the
+# longest, so the second extends the first's run and the rest slice it.
+
+_TAIL_POLYS = ("z^3 + x^12 + w^6 + y^9", "z^3", "z^3 + x^6 + w^6", "z^3 + x^6 + w^6 + y^5")
+_TAIL_CASES = tuple(
+    _StateCase(
+        f"{poly} | z^{z}",
+        State(parse_polynomial(poly, _VARS4), Boundary((0, 0, 0, z)), _VARS4),
+    )
+    for z in (0, 1, 3)
+    for poly in _TAIL_POLYS
+)
+_TAIL_CAPS = (0, 1, 29, 30, 31, 120, 1200)
+
+
+def _tail_pure(fv):
+    return (fv[0], fv[25] % 7, fv[25])
+
+
+def _tail_crashes(fv):
+    if int(fv[25]) % 5 == 4:
+        raise ArithmeticError("f25 is 4 mod 5")
+    return _tail_pure(fv)
+
+
+def _tail_malformed(fv):
+    # a NaN when f25 is 4 mod 5, else a shorter rank when it is 6 mod 7
+    if int(fv[25]) % 5 == 4:
+        return (fv[0], math.nan, fv[25])
+    return _tail_pure(fv)[: 2 if int(fv[25]) % 7 == 6 else 3]
+
+
+def _tail_generator(fv):
+    # a one-shot rank, which raises while it is read when f25 is 10 mod 11
+    yield from _tail_pure(fv)[:2]
+    if int(fv[25]) % 11 == 10:
+        raise ArithmeticError("rank cut short")
+    yield fv[25]
+
+
+_TAIL_RANKERS = {
+    "pure": _tail_pure,
+    "crashes": _tail_crashes,
+    "malformed": _tail_malformed,
+    "generator": _tail_generator,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_tail_streams(cap):
+    return tuple(
+        [plain_features(s) for s in plain_run(case.initial_state(), cap)[0]] for case in _TAIL_CASES
+    )
+
+
+def test_tail_cases_share_one_fixed_ideal():
+    entries = set()
+    for case in _TAIL_CASES:
+        run = run_trajectory(case.initial_state(), 120)
+        entry = run.prefix[-1]
+        entries.add((entry.ideal, entry.boundary.mass, run.excs[-1], len(run.prefix)))
+    assert {e[0] for e in entries} == {parse_polynomial("z^3", _VARS4)}
+    assert {e[1:3] for e in entries} == {(3, 3), (4, 3), (6, 3)}
+    assert {e[3] for e in entries} == {2, 6, 8, 11}
+
+
+@pytest.mark.parametrize("cap", _TAIL_CAPS)
+@pytest.mark.parametrize("kind", sorted(_TAIL_RANKERS))
+def test_tail_runs_match_plain_ranks(cap, kind):
+    # one fresh ranker object per test, so its table and runs start empty:
+    # simulate_case gives every state the plain loop's vector and rank, and
+    # calls the ranker once per bit-distinct vector over all the cases, then
+    # not at all; score_benchmark gives plain_score's reports, cold and warm,
+    # over the suite and one case per call
+    rank_fn = _TAIL_RANKERS[kind]
+    calls = []
+
+    def ranker(fv):
+        calls.append(fv)
+        return rank_fn(fv)
+
+    cfg = HarnessConfig(cap=cap)
+    streams = _plain_tail_streams(cap)
+    want_ranks = [[_rank_hex(r) for r in plain_ranks(rank_fn, fvs)] for fvs in streams]
+    distinct = len({struct.pack("26d", *fv) for fvs in streams for fv in fvs})
+    clear_memos()
+    for ranked in (distinct, 0):
+        calls.clear()
+        for case, fvs, ranks in zip(_TAIL_CASES, streams, want_ranks):
+            _, feature_stream, rank_stream, _ = simulate_case(case.initial_state(), ranker, cfg)
+            assert [_hex(fv) for fv in feature_stream] == [_hex(fv) for fv in fvs]
+            assert [_rank_hex(r) for r in rank_stream] == ranks
+        assert len(calls) == ranked
+
+    want = plain_score(ranker, _TAIL_CASES, cfg)
+    for cold in (True, False):
+        if cold:
+            clear_memos()
+        assert score_benchmark(ranker, _TAIL_CASES, cfg) == want
+        each = [score_benchmark(ranker, (case,), cfg).reports[0] for case in _TAIL_CASES]
+        assert tuple(each) == want.reports
+
+
+def test_tail_runs_extend_and_slice_across_caps():
+    # one ranker object over every cap, longest last and then shorter again:
+    # a run grows past its length only, and a shorter tail reads a slice of
+    # it, so the ranker is called once per bit-distinct vector of the longest
+    calls = []
+
+    def ranker(fv):
+        calls.append(fv)
+        return _tail_pure(fv)
+
+    clear_memos()
+    for cap in _TAIL_CAPS + tuple(reversed(_TAIL_CAPS)):
+        cfg = HarnessConfig(cap=cap)
+        for case, fvs in zip(_TAIL_CASES, _plain_tail_streams(cap)):
+            _, _, rank_stream, _ = simulate_case(case.initial_state(), ranker, cfg)
+            assert rank_stream == [_tail_pure(fv) for fv in fvs]
+    longest = _plain_tail_streams(max(_TAIL_CAPS))
+    assert len(calls) == len({struct.pack("26d", *fv) for fvs in longest for fv in fvs})
+
+
 # Scoring against the plain oracle: every report, cold and warm, one call per
 # suite and one per case, equals the one plain_score gives.
 
