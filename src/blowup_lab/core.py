@@ -149,8 +149,10 @@ class IdealSpec:
     def __post_init__(self) -> None:
         if type(self.monomials) is not tuple:  # a memo key must hash
             object.__setattr__(self, "monomials", tuple(self.monomials))
-        # every memo lookup hashes the spec, and every State built on it checks
-        # the exponent lengths: derive both once per spec
+        # every memo lookup hashes the spec, and every State the public
+        # constructor builds on it checks the exponent lengths: derive both
+        # once per spec (a chart's image takes its lengths from its source,
+        # see _derived_ideal)
         object.__setattr__(self, "_hash", hash((self.monomials,)))
         object.__setattr__(self, "_lengths", frozenset(len(m.exponents) for m in self.monomials))
 
@@ -181,8 +183,12 @@ class Boundary:
     def __post_init__(self) -> None:
         if type(self.multiplicities) is not tuple:  # a memo key must hash
             object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
-        if self.multiplicities and min(self.multiplicities) < 0:
-            raise ValueError("boundary multiplicities must be nonnegative")
+        # the rule TaggedMonomial applies to exponents: a float, even a whole
+        # one, NaN or infinity would reach f25 and the ranks
+        if any(not isinstance(m, int) or m < 0 for m in self.multiplicities):
+            raise ValueError(
+                f"boundary multiplicities must be nonnegative integers: {self.multiplicities}"
+            )
 
     @classmethod
     def zero(cls, vars: VariableSet) -> "Boundary":
@@ -212,6 +218,50 @@ class State:
     def initial(cls, ideal: IdealSpec, vars: VariableSet) -> "State":
         """State with the identically-zero starting boundary."""
         return cls(ideal=ideal, boundary=Boundary.zero(vars), vars=vars)
+
+
+# The simulator builds every later state of a run from one that passed the
+# checks above, by rules that keep them: these set the same fields, and the
+# same cached hash, without running them.  Each call site says why the checks
+# hold there; values users build go through the public constructors.  Fields
+# are set as __init__ sets them: writing to an instance's __dict__ would turn
+# its attribute storage into a dict, which every later read pays for.
+_new, _set = object.__new__, object.__setattr__
+
+
+def _derived_monomial(tag: str, exponents: tuple[int, ...]) -> TaggedMonomial:
+    """TaggedMonomial(tag, exponents) for a tuple of ints >= 0, not all 0."""
+    m = _new(TaggedMonomial)
+    _set(m, "tag", tag)
+    _set(m, "exponents", exponents)
+    _set(m, "_hash", hash((tag, exponents, max(exponents).bit_length())))
+    return m
+
+
+def _derived_ideal(monomials: tuple[TaggedMonomial, ...], lengths: frozenset) -> IdealSpec:
+    """IdealSpec(monomials) for a tuple whose exponent lengths are lengths."""
+    ideal = _new(IdealSpec)
+    _set(ideal, "monomials", monomials)
+    _set(ideal, "_hash", hash((monomials,)))
+    _set(ideal, "_lengths", lengths)
+    return ideal
+
+
+def _derived_boundary(multiplicities: tuple[int, ...]) -> Boundary:
+    """Boundary(multiplicities) for a tuple of ints >= 0."""
+    boundary = _new(Boundary)
+    _set(boundary, "multiplicities", multiplicities)
+    return boundary
+
+
+def _derived_state(ideal: IdealSpec, boundary: Boundary, vars: VariableSet) -> State:
+    """State(ideal, boundary, vars) for a boundary of vars.dim multiplicities
+    and an ideal whose exponent vectors all have length vars.dim."""
+    state = _new(State)
+    _set(state, "ideal", ideal)
+    _set(state, "boundary", boundary)
+    _set(state, "vars", vars)
+    return state
 
 
 def infer_tag(exponents: tuple[int, ...], vars: VariableSet) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from blowup_lab.core import IdealSpec, State, VariableSet
+from blowup_lab.core import IdealSpec, State, VariableSet, _derived_boundary, _derived_state
 from blowup_lab.simulator import MEMO_ENTRIES, _monomial_facts
 
 #: Column names for trace export, indexed 0..25.
@@ -67,13 +67,20 @@ def hilbert_samuel_base(state: State) -> int:
     when it is one of them: with n base variables and k distinct generators
     the count is C(d + n, n) - k.
     """
-    base = [m.exponents for m in state.ideal if m.exponents[-1] == 0]
-    if not base:
+    d = math.inf
+    generators = set()
+    for m in state.ideal.monomials:
+        e = m.exponents
+        if e[-1] == 0:
+            degree = sum(e)
+            if degree < d:
+                d, generators = degree, {e}
+            elif degree == d:
+                generators.add(e)
+    if not generators:
         return 0
-    d = min(sum(e) for e in base)
-    k = len({e for e in base if sum(e) == d})
     n = state.vars.dim - 1
-    return math.comb(d + n, n) - k
+    return math.comb(d + n, n) - len(generators)
 
 
 def extract_features(state: State) -> tuple[float, ...]:
@@ -208,7 +215,10 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     if j and j * (((f1 + n) // j).bit_length() - 1) > 1025:
         f21 = 1 << 1025
     else:
-        f21 = hilbert_samuel_base(State.initial(ideal, vars))
+        # the ideal is a State's, and a zero boundary of vars.dim entries
+        # passes the checks
+        zero = _derived_state(ideal, _derived_boundary((0,) * vars.dim), vars)
+        f21 = hilbert_samuel_base(zero)
     f22 = jac_low - 1 if jac_low != math.inf else JACOBIAN_SENTINEL
 
     values = (

@@ -14,7 +14,19 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from blowup_lab.core import MIXED, OBLIQUE, PURE_Z, Boundary, IdealSpec, State, TaggedMonomial, VariableSet
+from blowup_lab.core import (
+    MIXED,
+    OBLIQUE,
+    PURE_Z,
+    IdealSpec,
+    State,
+    TaggedMonomial,
+    VariableSet,
+    _derived_boundary,
+    _derived_ideal,
+    _derived_monomial,
+    _derived_state,
+)
 
 CODIM2 = "codim2"
 DIVISOR_Z = "divisor_z"
@@ -196,8 +208,11 @@ def step(state: State) -> tuple[State, Center, int]:
     mult = [m if i in keep else 0 for i, m in enumerate(state.boundary.multiplicities)]
     mult[v] += exc
 
-    new_state = State(ideal=ideal, boundary=Boundary(tuple(mult)), vars=vars)
-    return new_state, center, exc
+    # state passed the checks, and each multiplicity is zeroed or raised by
+    # exc >= 1, so each stays an int >= 0; the boundary keeps its length, and
+    # the chart keeps every exponent vector's
+    boundary = _derived_boundary(tuple(mult))
+    return _derived_state(ideal, boundary, vars), center, exc
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -211,7 +226,10 @@ def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]
     center, exc = _center_and_exc(ideal, vars)
     v = center.var_index
     images = [_rewrite(m, v, exc) for m in ideal]
-    return IdealSpec(tuple(m for m in images if m is not None)), center, exc
+    kept = tuple(m for m in images if m is not None)
+    # the ideal is a State's, so its exponent vectors share one length; a
+    # chart keeps every vector's length, and an empty image has none
+    return _derived_ideal(kept, ideal._lengths if kept else frozenset()), center, exc
 
 
 @lru_cache(maxsize=MONOMIAL_MEMO_ENTRIES)
@@ -228,7 +246,8 @@ def _rewrite(m: TaggedMonomial, v: int, exc: int) -> Optional[TaggedMonomial]:
     image = e[:v] + (ev,) + e[v + 1 :]
     if not any(image):
         return None
-    return TaggedMonomial(tag=m.tag, exponents=image)
+    # m's exponents are ints >= 0, and so is ev; the all-zero image is dropped
+    return _derived_monomial(m.tag, image)
 
 
 def is_monomial_phase(ideal: IdealSpec) -> bool:

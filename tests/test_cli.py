@@ -331,8 +331,10 @@ def test_unwritable_output_is_a_bad_argument(capsys, tmp_path, argv):
 
 
 #: sha256 of stdout and the exit code of `run` for every builtin ranker and
-#: suite, and of `verify-counterexamples --json`; these pin the CLI's output
-#: bytes, which a change to the rank path must leave as they are.
+#: suite, at the default cap and at cap 120, and of
+#: `verify-counterexamples --json`; these pin the CLI's output bytes, which a
+#: change to the rank path must leave as they are.  Above cap 30 no run or
+#: stream is held, so every call steps and extracts its cases afresh.
 _OUTPUT_DIGESTS = {
     "run --ranker two_component --suite broad24":
         (1, "e0da8ebc0f8946f4ae8d2002931f5838513187fecfe3753e9871fc79e353b801"),
@@ -358,6 +360,30 @@ _OUTPUT_DIGESTS = {
         (0, "8a836d54d1863a0fa9c3db74f797715e0276d12927adc84deb63ec9bddbe85df"),
     "run --ranker r100 --suite extended100":
         (1, "3dff93e257163d22c11b127c6a8f3b3147f7505013c9235c673d575b66efad58"),
+    "run --ranker two_component --suite broad24 --cap 120":
+        (1, "6159ce0ce1ef6631352087d710515f2fc0d6cc3fed8d9a07c3c5fabae7f85584"),
+    "run --ranker two_component --suite focused71 --cap 120":
+        (0, "71b542f50730eda6c2a71adbf8fcb82567e00c8a099ade7ca7d919b0389e2841"),
+    "run --ranker two_component --suite extended100 --cap 120":
+        (1, "fd62f361c575bed864828d67adbb66534e187da7235d8b9814aac9354fd18a76"),
+    "run --ranker clean_lex --suite broad24 --cap 120":
+        (1, "55599afd9d10881343b331dfc034972b399c8924522ebf78bc30b77f49ac35ff"),
+    "run --ranker clean_lex --suite focused71 --cap 120":
+        (0, "10db19997fffdf5646e05cc8666d1123cc3d3e9d4844b463c315eeaf94267713"),
+    "run --ranker clean_lex --suite extended100 --cap 120":
+        (1, "bc0285eea876dcb20483333a803b4c9df5378ab3c6fa543d7bb1a122da172ec9"),
+    "run --ranker disc_lex --suite broad24 --cap 120":
+        (1, "9a6cfe26ca3a3fbcc053e3e153cc7af44d7ff702d5c3306cb50b7468dc6a8dbd"),
+    "run --ranker disc_lex --suite focused71 --cap 120":
+        (0, "33981862df5595c3a822e21a8522ee401a95bde24bacd750e90d719ed70f01ed"),
+    "run --ranker disc_lex --suite extended100 --cap 120":
+        (1, "b66602bd18c95ec2293c950da945ab2caa020b55d55a4adaae4d10438515ed9f"),
+    "run --ranker r100 --suite broad24 --cap 120":
+        (1, "46af2e64ea773c459c3b5be6e931f4738a8a7a521b02186368d7b352424333d3"),
+    "run --ranker r100 --suite focused71 --cap 120":
+        (0, "fcf24694aca71cc38ba76c2a579c8672c4932e30e09f75c1897f66a55a404deb"),
+    "run --ranker r100 --suite extended100 --cap 120":
+        (1, "0ec53117ecd8020c32e078539bc32ec54ab398f034f09915ed6e53f544d9a699"),
     "verify-counterexamples --json":
         (0, "f49f8744c5da5deda8567450985c23f3dee6231d5b95ae625ce03033c73ec64e"),
 }

@@ -327,9 +327,14 @@ def test_state_validates_indexing(vars4):
 
 
 def test_boundary_checks_its_multiplicities():
-    for bad in ((-1, 0, 0, 0), (0, 0, 0, -5), [2, -1]):
+    # the rule TaggedMonomial applies to exponents: an int >= 0, bools included;
+    # a NaN mass once scored as solved, and an infinite one as a crash
+    nan, inf = float("nan"), float("inf")
+    bad_ones = ((-1, 0, 0, 0), (0, 0, 0, -5), [2, -1], (nan, 0, 0, 0), (0, 0, 0, inf))
+    for bad in bad_ones + ((0.5, 0, 0, 0), (0, 0, 2.0, 0)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             Boundary(bad)
+    assert Boundary((True, 0, 0, 0)) == Boundary((1, 0, 0, 0))
     listed = Boundary([0, 3, 0, 1])
     assert type(listed.multiplicities) is tuple
     assert listed == Boundary((0, 3, 0, 1)) and hash(listed) == hash(Boundary((0, 3, 0, 1)))

@@ -8,7 +8,9 @@ with ``plain_features``, and the ideal feature kernel and the chart with the
 plain per-feature kernel and the plain rewrite.  How much a memo holds, and
 how long, is read from ``memos()`` after ``clear_memos()``, from how often a
 ranker, ``run_trajectory`` or ``extract_features`` is called, and from
-whether a ranker is still alive after ``gc.collect()``.
+whether a ranker is still alive after ``gc.collect()``.  The values a run
+builds without the public constructors' checks are compared with the ones
+those constructors build.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import gc
 import importlib
 import json
 import math
+import pickle
 import pkgutil
 import struct
 import sys
@@ -225,6 +228,70 @@ def test_trajectory_memo_matches_plain_loop(state, cap):
     held = cap <= DEFAULT_CAP
     assert memos()["runs"][0] == held
     assert (warm is cold) == held
+
+
+# The simulator builds a run's later monomials, ideals, boundaries and states,
+# and the zero-boundary state f21 reads, without the public constructors'
+# checks.  Each must be the value the public constructor builds from its
+# fields: the same fields, cached hash and exponent lengths included, before
+# and after a pickle round trip.
+
+
+def _public_copy(value):
+    if isinstance(value, TaggedMonomial):
+        return TaggedMonomial(value.tag, value.exponents)
+    if isinstance(value, IdealSpec):
+        return IdealSpec(tuple(_public_copy(m) for m in value.monomials))
+    if isinstance(value, Boundary):
+        return Boundary(value.multiplicities)
+    return State(_public_copy(value.ideal), _public_copy(value.boundary), value.vars)
+
+
+def _assert_built_as_public(values):
+    for value in values:
+        public = _public_copy(value)
+        loaded = pickle.loads(pickle.dumps(value))
+        assert type(value) is type(loaded) is type(public)
+        assert value.__dict__ == loaded.__dict__ == public.__dict__
+        assert hash(value) == hash(loaded) == hash(public)
+
+
+def _derived_values(initials, cap):
+    # every state a run steps to, with its boundary, its ideal and the ideal's
+    # monomials, and the state each distinct ideal's f21 reads; by identity
+    values = {}
+    f21_states = []
+    for initial in initials:
+        for state in run_trajectory(initial, cap).states[1:]:
+            for value in (state, state.boundary, state.ideal, *state.ideal.monomials):
+                values[id(value)] = value
+    ideals = {(v.ideal, v.vars) for v in values.values() if isinstance(v, State)}
+    real = features.hilbert_samuel_base
+
+    def recording(state):
+        f21_states.append(state)
+        return real(state)
+
+    with patch.object(features, "hilbert_samuel_base", recording):
+        for ideal, vars in ideals:
+            if ideal:
+                features._ideal_features.__wrapped__(ideal, vars)
+    return list(values.values()) + f21_states
+
+
+@pytest.mark.parametrize("cap", [30, 120])
+def test_derived_values_are_built_as_public(cold_memos, cap):
+    cases = broad24() + focused71() + extended100() + generate_broad_surrogates(1, 200)
+    values = _derived_values([case.initial_state() for case in cases], cap)
+    kinds = {type(v) for v in values}
+    assert kinds == {TaggedMonomial, IdealSpec, Boundary, State}
+    _assert_built_as_public(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=_states(), cap=st.integers(0, 40))
+def test_derived_values_of_drawn_states_are_built_as_public(state, cap):
+    _assert_built_as_public(_derived_values([state], cap))
 
 
 def test_non_int_caps_are_refused():

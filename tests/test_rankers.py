@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blowup_lab.benchmarks import builtin_suites
+from blowup_lab.benchmarks import builtin_suites, focused71
 from blowup_lab.core import State, parse_polynomial
 from blowup_lab.features import extract_features
+from blowup_lab.harness import HarnessConfig, simulate_case
 from blowup_lab.rankers import (
     EQUAL,
     GREATER,
@@ -447,3 +448,39 @@ def test_ranker_callables_are_pure(vars4):
     for name in ranker_names():
         ranker = get_ranker(name)
         assert ranker(fv) == ranker(fv)
+
+
+# The horizon law.  On a fixed-point tail only f25 moves, by exc per step, and
+# in the discretized rankers it reaches only c4, so d4 = 5000 -
+# floor(100 * ln(1 + |c4|)) moves by about 100 * |dc4| / |c4| per step.  Once
+# |c4 / dc4| passes about 100 * m, d4 stays flat for a whole window of m steps
+# and the rank stalls: the log scale 100 and the window m set the horizon, not
+# the weights, and it is at most 100 * (m + 1) steps after tail entry.
+# Measured at cap 1,200, the last first failure is at step 527 (m = 5) and
+# 1,038 (m = 10) for disc_lex and 419 and 946 for r100; the seeded templates
+# below fail within 9 steps of tail entry, most of them before it.
+def _law_rankers():
+    template = RankerTemplate()
+    rng = random.Random(7)
+    drawn = {
+        f"template {i}": template.instantiate([rng.uniform(-20, 20) for _ in range(template.size())])
+        for i in range(3)
+    }
+    return {"disc_lex": get_ranker("disc_lex"), "r100": get_ranker("r100"), **drawn}
+
+
+@pytest.mark.parametrize("m", [5, 10])
+def test_fixed_point_tails_fail_within_the_horizon_law(m):
+    cfg = HarnessConfig(window=m, cap=1200)
+    for name, ranker in _law_rankers().items():
+        tails = 0
+        for case in focused71():
+            run, _, ranks, audit = simulate_case(case.initial_state(), ranker, cfg)
+            if not run.tail_len:
+                continue
+            tails += 1
+            steps = zip(audit.step_flags, ranks)
+            first = next((t for t, (flags, rank) in enumerate(steps) if flags or rank is None), None)
+            assert first is not None, (name, case.name)
+            assert first - (len(run.prefix) - 1) <= 100 * (m + 1), (name, case.name)
+        assert tails == 69
