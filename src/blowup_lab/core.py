@@ -102,12 +102,24 @@ class VariableSet:
 
 @dataclass(frozen=True)
 class TaggedMonomial:
-    """Nonzero exponent vector plus an immutable symbolic tag."""
+    """Nonzero exponent vector plus an immutable symbolic tag.
+
+    A tag is a nonempty str without ':' or '+' and without leading or
+    trailing whitespace, so that render_polynomial's "tag:term" annotation
+    parses back to it.
+    """
 
     tag: str
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.tag) is not str:
+            raise TypeError(f"tag must be a str, got {self.tag!r}")
+        if not self.tag or self.tag != self.tag.strip() or ":" in self.tag or "+" in self.tag:
+            raise ValueError(
+                f"tag must be nonempty, hold no ':' or '+' and not start or end with "
+                f"whitespace: {self.tag!r}"
+            )
         if type(self.exponents) is not tuple:  # a memo key must hash
             object.__setattr__(self, "exponents", tuple(self.exponents))
         if any(not isinstance(e, int) or e < 0 for e in self.exponents):

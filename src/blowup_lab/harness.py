@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -134,17 +135,20 @@ def audit_trajectory(
     0/False from it on.
     """
     # _evaluate passes _GatedRanks: ranks gated once per distinct rank (a list
-    # for a malformed one) over the prefix vectors; a tail step reads its entry
-    # vector, whose f0, f9 and f14 a tail keeps.  The raw branch serves callers
-    # outside the package.  The switch stays here, not in a private core, as
-    # the benchmark's tracer times scoring's audits by wrapping this function;
-    # re-gating every step cost 5-8% of surrogate_long's cases per second
+    # for a malformed one) over the prefix vectors, and its fixed-ideal tail as
+    # (tail run, summaries, tail length), audited once per entry state by
+    # _tail_summary and read here as slices; a gated step past the vectors
+    # reads the last one.  The raw branch serves callers outside the package.
+    # The switch stays here, not in a private core, as the benchmark's tracer
+    # times scoring's audits by wrapping this function; re-gating every step
+    # cost 5-8% of surrogate_long's cases per second
     gated = type(ranks) is _GatedRanks
     if not gated and len(ranks) != len(features):
         raise ValueError("rank and feature streams must have equal length")
     if not ranks:
         raise ValueError("empty trajectory")
 
+    tail = ranks.tail if gated else None
     n = len(ranks)
     last = len(features) - 1
     tau = next((t for t in range(last + 1) if features[t][9] == 1), n)
@@ -161,19 +165,10 @@ def audit_trajectory(
     # equal-length tuples of finite ints and floats.
     for t, rank in enumerate(ranks if gated else map(_as_rank, ranks)):
         if type(rank) is not tuple or (len(rank) != width and prev is not None):
-            report = ViolationReport(
-                name=name,
-                total_violations=STRUCTURAL_PENALTY,
-                delay_violations=0,
-                normalization_violations=0,
-                align_f0=0.0,
-                align_f14=0.0,
-                structural_failure=True,
-                local_increases=0,
-                max_plateau=0,
-                solved=False,
-            )
-            return TrajectoryAudit(report, tuple(flags), tuple(improved))
+            if tail:
+                flags += [0] * tail[2]
+                improved += [False] * tail[2]
+            return _structural(name, tuple(flags), tuple(improved))
         if t <= last:
             fv = features[t]
         flag = 0
@@ -222,6 +217,33 @@ def audit_trajectory(
         flags[t] = flag
         prev, prev_fv = rank, fv
 
+    flags = tuple(flags)
+    improved = tuple(improved)
+    if tail:
+        # a tail's audit depends on the run and on the entry state alone: the
+        # window, the entry rank, the best so far, the steps since it last
+        # improved (clamped to the window, past which the delay never lapses
+        # without an improvement) and the plateau length
+        run, summaries, tail_len = tail
+        entry = (window, prev, best, min(n - 1 - last_improve, window), run_length)
+        summary = summaries.get(entry)
+        if summary is None:
+            if len(summaries) >= TAIL_SUMMARIES:
+                summaries.clear()
+            summary = summaries[entry] = _tail_summary(run, *entry)
+        tail_flags, tail_improved, (normalizations, delays, increases, longer) = summary
+        good = len(tail_flags)
+        if tail_len > good:
+            rest = tail_len - good
+            flags += tail_flags + (0,) * rest
+            return _structural(name, flags, improved + tail_improved + (False,) * rest)
+        flags += tail_flags[:tail_len]
+        improved += tail_improved[:tail_len]
+        normalization += bisect_left(normalizations, tail_len)
+        delay += bisect_left(delays, tail_len)
+        local_increases += bisect_left(increases, tail_len)
+        max_plateau = max(max_plateau, run_length + bisect_left(longer, tail_len))
+
     align_f0 = HEAVY_WEIGHT * align_f0_count
     align_f14 = LIGHT_WEIGHT * align_f14_count
     total = float(normalization + delay) + align_f0 + align_f14
@@ -238,7 +260,69 @@ def audit_trajectory(
         max_plateau=max_plateau,
         solved=total == 0,
     )
-    return TrajectoryAudit(report=report, step_flags=tuple(flags), best_improved=tuple(improved))
+    return TrajectoryAudit(report=report, step_flags=flags, best_improved=improved)
+
+
+def _structural(name: str, flags: tuple, improved: tuple) -> TrajectoryAudit:
+    report = ViolationReport(
+        name=name,
+        total_violations=STRUCTURAL_PENALTY,
+        delay_violations=0,
+        normalization_violations=0,
+        align_f0=0.0,
+        align_f14=0.0,
+        structural_failure=True,
+        local_increases=0,
+        max_plateau=0,
+        solved=False,
+    )
+    return TrajectoryAudit(report, flags, improved)
+
+
+def _tail_summary(run: tuple, window: int, prev: tuple, best: tuple, gap: int, plateau: int):
+    # The audit of a fixed-ideal tail's gated ranks entered from this state:
+    # (flags, best-so-far marks, events).  The flags and marks are those of
+    # the steps before the first malformed rank.  The events are the steps,
+    # in order, that break normalization, that are delayed, that increase,
+    # and that make a plateau longer than the entry plateau and every one
+    # before (by one each), so the counts of the first j steps are the events
+    # before j, the longest plateau past the entry plateau's length included.
+    # Every tail step reads the entry vector, with f9 = 0 (a run stops at
+    # monomial phase), so the rank's first component must be > 0, the delay
+    # runs to the end (no monomial entry), and no proxy drops
+    width = len(prev)
+    flags = []
+    improved = []
+    normalizations, delays, increases, longer = events = ([], [], [], [])
+    top = plateau
+    for t, rank in enumerate(run):
+        if type(rank) is not tuple or len(rank) != width:
+            break
+        flag = 0
+        if not rank[0] > 0:
+            flag = FLAG_NORMALIZATION
+            normalizations.append(t)
+        gap += 1
+        if rank < prev:
+            plateau = 0
+            if rank < best:
+                best = rank
+                gap = 0
+        elif rank != prev:
+            increases.append(t)
+            plateau = 0
+        else:
+            plateau += 1
+            if plateau > top:
+                top = plateau
+                longer.append(t)
+        if gap >= window:
+            flag |= FLAG_DELAY
+            delays.append(t)
+        flags.append(flag)
+        improved.append(not gap)
+        prev = rank
+    return tuple(flags), tuple(improved), events
 
 
 def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
@@ -269,8 +353,14 @@ _held_stream = lru_cache(maxsize=MEMO_ENTRIES)(_stream)
 #: key to gated rank, the tail runs): an entry goes when its ranker dies, or
 #: when a case leaves its dict holding more than MONOMIAL_MEMO_ENTRIES ranks.
 #: A tail run is the tuple of gated ranks of a fixed-ideal tail's steps, by
-#: (entry head bytes, entry mass as an int, exc); a longer tail replaces it.
+#: (entry head bytes, entry mass as an int, exc), held as (run, summaries):
+#: the summaries map an entry state to the audit of the run from it
+#: (_tail_summary).  A longer tail replaces both.
 _tables: dict = {}
+
+#: Entry-state summaries a tail run keeps; a run that holds this many
+#: forgets them all before it keeps another.
+TAIL_SUMMARIES = 64
 
 
 #: The process-wide lru_caches, each with the name memos() reports it under.
@@ -290,7 +380,8 @@ def memos() -> dict[str, tuple]:
     The six lru_caches report their cache_info().  "rank_tables" counts the
     ranks of every live ranker's table, each of which a case leaves holding
     at most MONOMIAL_MEMO_ENTRIES, and counts no hits or misses; a table's
-    tail runs hold ranks of the table and are not counted.
+    tail runs hold ranks of the table, and their summaries the audit of a
+    run per entry state, and neither is counted.
     """
     report = {}
     for name, cache in _CACHES:
@@ -310,7 +401,12 @@ def clear_memos() -> None:
 
 class _GatedRanks(list):
     """A rank stream that scoring has gated: each entry is a well-formed rank
-    tuple, or a one-item list holding a malformed rank (None for a crash)."""
+    tuple, or a one-item list holding a malformed rank (None for a crash).
+    tail is None, or the case's fixed-ideal tail as (tail run, the run's
+    summaries, tail length): the first tail-length ranks of the run follow
+    the stream's."""
+
+    tail = None
 
 
 def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
@@ -334,11 +430,13 @@ def simulate_case(initial: State, ranker: Callable, cfg: HarnessConfig):
     as in score_benchmark: a pure ranker is called once per new bit-distinct
     vector.
     """
-    run, vectors, ranks, audit = _evaluate(initial, ranker, cfg, _rank_table(ranker), "case")
+    run, vectors, gated, audit = _evaluate(initial, ranker, cfg, _rank_table(ranker), "case")
     features = list(vectors)
+    ranks = list(gated)
     if run.tail_len:
         entry, mass, exc = vectors[-1][:25], run.prefix[-1].boundary.mass, run.excs[-1]
         features += [entry + (float(mass + j * exc),) for j in range(1, run.tail_len + 1)]
+        ranks += gated.tail[0][: run.tail_len]
     return run, features, [r[0] if type(r) is list else r for r in ranks], audit
 
 
@@ -357,8 +455,11 @@ def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, tables: tupl
     # audit_trajectory: (trajectory, prefix vectors, _GatedRanks, audit).
     # tables is the ranker's (rank table, tail runs).  A tail's ranks are the
     # first tail_len of its run, which is extended through the table only
-    # past its length and published whole, so threads never see it change; a
-    # tail vector is built only for a ranker call
+    # past its length; a tail vector is built only for a ranker call.  A run
+    # is held as (ranks, summaries): the audit keeps each entry state's
+    # summary of the run in the dict, and an extended run is published whole
+    # with a fresh one, so threads never see a run change or read a summary
+    # of a shorter one
     table, runs = tables
     trajectory = run_trajectory(initial, cfg.cap)
     vectors, keys = (_held_stream if cfg.cap <= DEFAULT_CAP else _stream)(trajectory)
@@ -373,7 +474,7 @@ def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, tables: tupl
         head = keys[-1][0]
         mass, exc = trajectory.prefix[-1].boundary.mass, trajectory.excs[-1]
         tail = (head, mass, exc)
-        run = runs.get(tail, ())
+        run, summaries = runs.get(tail, ((), None))
         if len(run) < tail_len:
             entry = vectors[-1][:25]
             more = []
@@ -383,8 +484,8 @@ def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, tables: tupl
                 if rank is None:
                     rank = table[key] = _gated(ranker, entry + key[1:])
                 more.append(rank)
-            run = runs[tail] = run + tuple(more)
-        ranks += run[:tail_len]
+            run, summaries = runs[tail] = (run + tuple(more), {})
+        ranks.tail = (run, summaries, tail_len)
     if len(table) > MONOMIAL_MEMO_ENTRIES:
         _tables.pop(id(ranker), None)
     audit = audit_trajectory(ranks, vectors, cfg, name=name)
@@ -483,7 +584,14 @@ def score_benchmark(
     when the ranker is called on it.  Beside the table, each fixed-ideal tail
     keeps its gated ranks as one run per (entry vector, entry mass,
     exceptional exponent), shared by every case that enters it and dropped
-    with the table; a case reads its tail's ranks off the run in one slice.
+    with the table.  Each run keeps a summary per entry state (window, entry
+    rank, best rank, steps since the best last improved up to the window,
+    plateau length): the run's step flags and best-so-far marks up to its
+    first malformed rank, and the steps at which its normalization, delay,
+    increase and longest-plateau counts grow.  A case reads its tail's flags
+    and marks off that summary as slices, and each count by one bisection.  A run's summaries are dropped when the run
+    is extended, with the table, in clear_memos(), and all at once when the
+    run holds TAIL_SUMMARIES of them.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")

@@ -279,6 +279,54 @@ def test_monomial_refuses_an_exponent_that_is_not_an_int(bad):
         TaggedMonomial(MIXED, (0, bad, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "tag, error",
+    [
+        ("a:b", ValueError),
+        ("a+b", ValueError),
+        ("", ValueError),
+        (" a", ValueError),
+        ("a ", ValueError),
+        ("\ta", ValueError),
+        (None, TypeError),
+        (1, TypeError),
+        (b"mixed", TypeError),
+    ],
+    ids=[
+        "colon", "plus", "empty", "leading-space", "trailing-space", "leading-tab",
+        "none", "int", "bytes",
+    ],
+)
+def test_monomial_refuses_a_tag_that_does_not_round_trip(tag, error):
+    # render_polynomial writes "tag:term", and parse_polynomial splits terms
+    # at '+', the tag at the first ':' and strips it: each of these came back
+    # as a parse failure, a stripped tag or a string that was not the tag
+    with pytest.raises(error, match="tag must be"):
+        TaggedMonomial(tag, (1, 0, 0, 1))
+
+
+# mostly the characters the grammar reads, so tags often hold ':', '+' or
+# whitespace; any other character too
+_tag_text = st.text(
+    alphabet=st.one_of(st.sampled_from(": +\t\n-_xz1^*"), st.characters()), max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=_tag_text, exps=st.tuples(*[st.integers(0, 4)] * 4).filter(any))
+def test_accepted_tags_survive_render_and_parse(tag, exps):
+    vars4 = VariableSet.standard(4, 3)
+    breaks = not tag or tag != tag.strip() or ":" in tag or "+" in tag
+    try:
+        monomial = TaggedMonomial(tag, exps)
+    except ValueError:
+        assert breaks
+        return
+    assert not breaks
+    ideal = IdealSpec((TaggedMonomial(PURE_Z, (0, 0, 0, 3)), monomial))
+    assert parse_polynomial(render_polynomial(ideal, vars4), vars4) == ideal
+
+
 def test_render_round_trip_simple(vars4):
     text = "z^3 + x^12 + y^6 + w^9*y^4 + x^9*y^8*w^10"
     ideal = parse_polynomial(text, vars4)

@@ -457,17 +457,20 @@ def test_audit_detail_digest_is_pinned():
 
 def test_evaluated_audit_is_the_public_audit_of_the_streams():
     # simulate_case returns _evaluate's audit of the gated ranks over the
-    # prefix vectors, the one scoring makes; the public audit of its raw
-    # ranks over every state's vector must give the same report, step flags
-    # and best-so-far marks, to the bit
+    # prefix vectors, its tail read off the tail run's summary for its entry
+    # state, the one scoring makes; the public audit of its raw ranks over
+    # every state's vector must give the same report, step flags and
+    # best-so-far marks, to the bit.  At caps 120 and 1,200 most steps lie in
+    # tails, and later cases read summaries that earlier ones made
     vars4 = VariableSet.standard(4, 3)
     runs = [(c.initial_state(), 5) for c in broad24() + focused71() + extended100()]
     for poly in (LEX_STALL_POLY, DISC_STALL_POLY):
         state = State.initial(parse_polynomial(poly, vars4), vars4)
         runs += [(state, 5), (state, 10)]
     assert len(runs) == 24 + 71 + 100 + 4
-    for ranker in map(get_ranker, ranker_names()):
-        for state, window in runs:
-            cfg = HarnessConfig(window=window, cap=30)
-            _, features, ranks, got = simulate_case(state, ranker, cfg)
-            assert repr(got) == repr(audit_trajectory(ranks, features, cfg))
+    for cap in (30, 120, 1200):
+        for ranker in map(get_ranker, ranker_names()):
+            for state, window in runs:
+                cfg = HarnessConfig(window=window, cap=cap)
+                _, features, ranks, got = simulate_case(state, ranker, cfg)
+                assert repr(got) == repr(audit_trajectory(ranks, features, cfg))

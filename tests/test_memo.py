@@ -10,7 +10,9 @@ how long, is read from ``memos()`` after ``clear_memos()``, from how often a
 ranker, ``run_trajectory`` or ``extract_features`` is called, and from
 whether a ranker is still alive after ``gc.collect()``.  The values a run
 builds without the public constructors' checks are compared with the ones
-those constructors build.
+those constructors build.  The tail summaries, which no public observable
+shows apart from the audits they give, are read off a ranker's tail runs
+(``harness._rank_table``), and counted by patching ``harness._tail_summary``.
 """
 
 from __future__ import annotations
@@ -579,6 +581,17 @@ def test_threads_share_the_stream_memo(cold_memos):
     cfg = HarnessConfig(cap=4096)
     serial = score_benchmark(replace(disc), focused71(), cfg)
     assert score_benchmark(replace(disc), focused71(), cfg, workers=2) == serial
+
+    # at cap 1200 the table stays under its bound, and more threads than
+    # cores, switching often, build and read the tail runs' summaries at once
+    cfg = HarnessConfig(cap=1200)
+    serial = score_benchmark(replace(disc), focused71(), cfg)
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = score_benchmark(replace(disc), focused71(), cfg, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_stream_memo_holds_at_most_its_vector_budget(cold_memos):
@@ -1186,6 +1199,174 @@ def test_tail_runs_extend_and_slice_across_caps():
             assert rank_stream == [_tail_pure(fv) for fv in fvs]
     longest = _plain_tail_streams(max(_TAIL_CAPS))
     assert len(calls) == len({struct.pack("26d", *fv) for fvs in longest for fv in fvs})
+
+
+# Tail summaries: beside each tail run the audit keeps one summary per entry
+# state (window, entry rank, best so far, steps since it last improved clamped
+# to the window, plateau length), and a case reads its tail's flags, marks and
+# counts off it as slices.  The four z^0 cases above all enter the mass-3 run,
+# after prefixes of 2 to 11 states, so with drawn prefix ranks they enter it
+# from different states; the z^1 and z^3 cases enter the mass-4 and mass-6
+# runs.
+
+# well-formed ranks come from a pool of one to four per example, so that
+# ranks tie, plateau, rise and fall, and cases share their best rank; a first
+# component <= 0 breaks normalization, and -0.0 equals 0.0
+_SMALL = st.one_of(st.integers(-1, 2), st.sampled_from((0.0, -0.0, 1.0, 2.5)))
+_RANK_POOLS = st.lists(st.tuples(_SMALL, _SMALL), min_size=1, max_size=4)
+_MALFORMED = st.sampled_from((None, (math.nan, 0), (math.inf, 1), ("a", 1), ()))
+_OTHER_WIDTH = st.one_of(st.tuples(_SMALL), st.tuples(_SMALL, _SMALL, _SMALL))
+_CRASH = object()
+
+
+def _drawn_rank(data, pool, ok_weight, bad_weight):
+    # a raw rank: one of the pool's with weight ok_weight, else malformed, of
+    # another width, or a crash, each with weight bad_weight
+    kinds = ("ok",) * ok_weight + ("malformed", "width", "crash") * bad_weight
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "ok":
+        return data.draw(st.sampled_from(pool))
+    if kind == "malformed":
+        return data.draw(_MALFORMED)
+    return data.draw(_OTHER_WIDTH) if kind == "width" else _CRASH
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tail_summaries_match_the_public_audit(data):
+    # one fresh ranker object, pure, whose rank of each vector is drawn the
+    # first time it is asked; each tail run is seeded with drawn gated ranks
+    # (crashes, malformed ranks and width changes among them), and calls at
+    # growing caps then extend it through the ranker.  Every audit simulate_case
+    # returns must be the public audit of its raw streams, by repr
+    drawn = {}
+    pool = data.draw(_RANK_POOLS)
+    bad_weight = data.draw(st.sampled_from((0, 1)))
+
+    def ranker(fv):
+        key = struct.pack("26d", *fv)
+        if key not in drawn:
+            drawn[key] = _drawn_rank(data, pool, 16, bad_weight)
+        if drawn[key] is _CRASH:
+            raise ArithmeticError("drawn crash")
+        return drawn[key]
+
+    _, runs = harness._rank_table(ranker)
+    for case in _TAIL_CASES[::4]:
+        trajectory = run_trajectory(case.initial_state(), 30)
+        head = harness._stream(trajectory)[1][-1][0]
+        tail = (head, trajectory.prefix[-1].boundary.mass, trajectory.excs[-1])
+        length = data.draw(st.integers(0, 12))
+        seeded = [_drawn_rank(data, pool, 16, bad_weight) for _ in range(length)]
+        gated = [[None] if r is _CRASH else harness._as_rank(r) or [r] for r in seeded]
+        runs[tail] = (tuple(gated), {})
+
+    caps = sorted(data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3)))
+    # a shorter cap last reads slices of summaries the longer tails made
+    caps.append(data.draw(st.integers(0, caps[-1])))
+    for cap in caps:
+        for case in data.draw(st.lists(st.sampled_from(_TAIL_CASES), min_size=1, max_size=6)):
+            cfg = HarnessConfig(window=data.draw(st.integers(1, 6)), cap=cap)
+            _, features, ranks, got = simulate_case(case.initial_state(), ranker, cfg)
+            assert repr(got) == repr(audit_trajectory(ranks, features, cfg, name="case"))
+
+
+def test_entry_states_that_differ_in_their_plateau_only_keep_their_own_summaries():
+    # the four z^0 cases enter the mass-3 run after prefixes of 2, 6, 8 and 11
+    # states that all rank (1, 0): at window 1 they enter it with one entry
+    # rank, best rank and clamped gap, and plateaus of 1, 5, 7 and 10.  The
+    # tail improves at its first step and then plateaus to the cap, so each
+    # case's longest plateau is its tail's, which counts past its own entry
+    # plateau only.  The longest tail comes first, so the others read slices
+    # of its run
+    entry = run_trajectory(_TAIL_CASES[0].initial_state(), 30).prefix[-1]
+    head = extract_features(entry)[:25]
+
+    def ranker(fv):
+        return (0.5, 0) if fv[:25] == head and fv[25] > entry.boundary.mass else (1, 0)
+
+    cfg = HarnessConfig(window=1, cap=30)
+    for case in (_TAIL_CASES[1], _TAIL_CASES[2], _TAIL_CASES[3], _TAIL_CASES[0]):
+        _, features, ranks, got = simulate_case(case.initial_state(), ranker, cfg)
+        assert repr(got) == repr(audit_trajectory(ranks, features, cfg))
+    ((_, summaries),) = harness._rank_table(ranker)[1].values()
+    assert list(summaries) == [(1, (1, 0), (1, 0), 1, plateau) for plateau in (1, 5, 7, 10)]
+
+
+def test_a_tail_run_keeps_at_most_its_bound_of_summaries():
+    # prefixes that plateau at a rank of their own enter one tail run from
+    # twice as many entry states as a run keeps: a full run forgets its
+    # summaries before it keeps another, and each audit is still the public one
+    run = ((0.5, 0),) * 3
+    summaries = {}
+    cfg = HarnessConfig(window=2)
+    vectors = [(1.0,) + (0.0,) * 25] * 2
+    for k in range(2 * harness.TAIL_SUMMARIES):
+        ranks = harness._GatedRanks([(k + 1, 0)] * 2)
+        ranks.tail = (run, summaries, len(run))
+        got = audit_trajectory(ranks, vectors, cfg)
+        assert len(summaries) == k % harness.TAIL_SUMMARIES + 1
+        want = audit_trajectory(list(ranks) + list(run), vectors + vectors[-1:] * len(run), cfg)
+        assert repr(got) == repr(want)
+
+
+# focused71 at cap 1,200: 69 of its cases end in a fixed-ideal tail, and each
+# rank table stays under its bound for the whole call, so every tail case that
+# enters a run from an entry state seen before reads that state's summary
+_CAP1200_TOTALS = {
+    "two_component": (69, 2000.0),
+    "clean_lex": (69, 2000.0),
+    "disc_lex": (2, 17995.0),
+    "r100": (2, 30210.0),
+}
+
+
+def _counted_summaries():
+    # patches harness._tail_summary to record each entry state it is built for
+    built = []
+    summary = harness._tail_summary
+
+    def counted(run, *entry):
+        built.append(entry)
+        return summary(run, *entry)
+
+    return patch.object(harness, "_tail_summary", counted), built
+
+
+@pytest.mark.parametrize("name", sorted(_CAP1200_TOTALS))
+def test_focused71_totals_at_cap_1200(name):
+    ranker = get_ranker(name)
+    cfg = HarnessConfig(cap=1200)
+    clear_memos()
+    patched, built = _counted_summaries()
+    with patched:
+        report = score_benchmark(ranker, focused71(), cfg)
+    assert (report.solved_count, report.total_violations) == _CAP1200_TOTALS[name]
+    # the table was never dropped, so it still holds the call's ranks
+    table, runs = harness._rank_table(ranker)
+    assert 0 < len(table) <= MONOMIAL_MEMO_ENTRIES
+    held = [entry for _, summaries in runs.values() for entry in summaries]
+    tails = sum(1 for case in focused71() if run_trajectory(case.initial_state(), 1200).tail_len)
+    assert tails == 69
+    assert len(held) == len(built) == len(set(built)) < tails
+
+
+def test_clear_memos_drops_every_tail_summary():
+    # clear_memos() drops every table, and with it every run and summary: a
+    # cold rescore builds the same summaries again and gives the same report
+    ranker = get_ranker("disc_lex")
+    cfg = HarnessConfig(cap=1200)
+    reports, counts = [], []
+    for _ in range(2):
+        clear_memos()
+        assert memos()["rank_tables"][0] == 0 and not harness._tables
+        patched, built = _counted_summaries()
+        with patched:
+            reports.append(score_benchmark(ranker, focused71(), cfg))
+        _, runs = harness._rank_table(ranker)
+        counts.append((len(built), sum(len(summaries) for _, summaries in runs.values())))
+    assert reports[0] == reports[1]
+    assert counts[0] == counts[1] and counts[0][0] == counts[0][1] > 0
 
 
 # Scoring against the plain oracle: every report, cold and warm, one call per
