@@ -68,6 +68,14 @@ class VariableSet:
             raise ValueError(f"characteristic {self.char_p} exceeds {MAX_CHAR_P}")
         if not _is_prime(self.char_p):
             raise ValueError(f"characteristic must be prime, got {self.char_p}")
+        object.__setattr__(self, "_hash", _vars_hash(self.names, self.char_p))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, as TaggedMonomial does
+        return (VariableSet, (self.names, self.char_p))
 
     @property
     def dim(self) -> int:
@@ -126,13 +134,8 @@ class TaggedMonomial:
             raise ValueError(f"exponents must be natural numbers: {self.exponents}")
         if not any(self.exponents):
             raise ValueError(f"a monomial needs a variable: {self.exponents}")
-        # every per-monomial memo lookup hashes the monomial: derive the hash
-        # once.  An int hashes to its value mod 2**61 - 1, so an exponent that
-        # doubles at every step (a V(z) chart takes e_z - exc to twice that)
-        # repeats its hash every 61 steps; the bit length of the largest
-        # exponent tells those apart
-        top = max(self.exponents).bit_length()
-        object.__setattr__(self, "_hash", hash((self.tag, self.exponents, top)))
+        # every per-monomial memo lookup hashes the monomial: derive the hash once
+        object.__setattr__(self, "_hash", _monomial_hash(self.tag, self.exponents))
 
     def __hash__(self) -> int:
         return self._hash
@@ -165,7 +168,7 @@ class IdealSpec:
         # constructor builds on it checks the exponent lengths: derive both
         # once per spec (a chart's image takes its lengths from its source,
         # see _derived_ideal)
-        object.__setattr__(self, "_hash", hash((self.monomials,)))
+        object.__setattr__(self, "_hash", _ideal_hash(self.monomials))
         object.__setattr__(self, "_lengths", frozenset(len(m.exponents) for m in self.monomials))
 
     def __hash__(self) -> int:
@@ -232,6 +235,22 @@ class State:
         return cls(ideal=ideal, boundary=Boundary.zero(vars), vars=vars)
 
 
+# Each type's cached hash, as its public and its _derived_* constructor set it
+def _vars_hash(names: tuple[str, ...], char_p: int) -> int:
+    return hash((names, char_p))
+
+
+def _monomial_hash(tag: str, exponents: tuple[int, ...]) -> int:
+    # an int hashes to its value mod 2**61 - 1, so an exponent that doubles at
+    # every step (a V(z) chart takes e_z - exc to twice that) repeats its hash
+    # every 61 steps; the bit length of the largest exponent tells those apart
+    return hash((tag, exponents, max(exponents).bit_length()))
+
+
+def _ideal_hash(monomials: tuple[TaggedMonomial, ...]) -> int:
+    return hash((monomials,))
+
+
 # The simulator builds every later state of a run from one that passed the
 # checks above, by rules that keep them: these set the same fields, and the
 # same cached hash, without running them.  Each call site says why the checks
@@ -246,7 +265,7 @@ def _derived_monomial(tag: str, exponents: tuple[int, ...]) -> TaggedMonomial:
     m = _new(TaggedMonomial)
     _set(m, "tag", tag)
     _set(m, "exponents", exponents)
-    _set(m, "_hash", hash((tag, exponents, max(exponents).bit_length())))
+    _set(m, "_hash", _monomial_hash(tag, exponents))
     return m
 
 
@@ -254,7 +273,7 @@ def _derived_ideal(monomials: tuple[TaggedMonomial, ...], lengths: frozenset) ->
     """IdealSpec(monomials) for a tuple whose exponent lengths are lengths."""
     ideal = _new(IdealSpec)
     _set(ideal, "monomials", monomials)
-    _set(ideal, "_hash", hash((monomials,)))
+    _set(ideal, "_hash", _ideal_hash(monomials))
     _set(ideal, "_lengths", lengths)
     return ideal
 

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 
 from blowup_lab.core import IdealSpec, State, VariableSet, _derived_boundary, _derived_state
-from blowup_lab.simulator import MEMO_ENTRIES, _monomial_facts
+from blowup_lab.simulator import MEMO_ENTRIES, _ideal_facts
 
 #: Column names for trace export, indexed 0..25.
 FEATURE_NAMES = (
@@ -89,15 +89,15 @@ def extract_features(state: State) -> tuple[float, ...]:
     The empty ideal yields the all-zero vector with the monomial-phase flag
     set.  Everything but f4, f8, f14 and f25 reads the ideal alone and comes
     from a process-wide memo of MEMO_ENTRIES distinct ideals, keyed by
-    (ideal, vars), whose entries aggregate each distinct monomial's facts
-    (simulator._monomial_facts, mostly filled already by the steps' charts);
-    those four are integer arithmetic on the boundary.  f8 and f14 add up
-    min(e_i, b_i) over the base variables of positive multiplicity b_i only,
-    one variable at a time (a run's states have at most one, the chart
-    variable's): f8 is the least such sum over the monomials of degree exc,
-    and each f14 term divides the residual, its base degree sum(e) minus it,
-    which is sum_i max(0, e_i - b_i).  The floats are converted in the order
-    f8, f14, f25.
+    (ideal, vars), whose entries build on the ideal's one facts pass
+    (simulator._ideal_facts, mostly made already by the steps' charts); those
+    four are integer arithmetic on the boundary.  f8 and f14 add up
+    min(e_i, b_i) over the base variables of positive multiplicity b_i only:
+    f8 is the least such sum over the monomials of degree exc, and each f14
+    term divides the residual, its base degree sum(e) minus it, which is
+    sum_i max(0, e_i - b_i).  A run's states have at most one such variable
+    (the chart variable), a case of its own.  The floats are converted in the
+    order f8, f14, f25.
     """
     if not state.ideal:
         return _EMPTY_IDEAL_FEATURES
@@ -106,14 +106,21 @@ def extract_features(state: State) -> tuple[float, ...]:
     fv = list(values)
     # multiplicities are nonnegative, so the nonzero ones are the positive ones
     fv[4] = float(len(mult) - mult.count(0))
-    f8 = [0] * len(min_base)
-    cut = [0] * len(terms)
-    for i, b in enumerate(mult[:-1]):
-        if b:
-            f8 = [c + min(e[i], b) for c, e in zip(f8, min_base)]
-            cut = [c + min(e[i], b) for c, (e, _, _) in zip(cut, terms)]
-    fv[8] = float(min(f8))
-    fv[14] = min([(s - c) / divisor for c, (_, divisor, s) in zip(cut, terms)], default=0.0)
+    base = mult[:-1]
+    positive = len(base) - base.count(0)
+    if positive == 1:
+        b = max(base)
+        i = base.index(b)
+        fv[8] = float(min([min(e[i], b) for e in min_base]))
+        fv[14] = min([(s - min(e[i], b)) / divisor for e, divisor, s in terms], default=0.0)
+    elif not positive:
+        fv[8] = 0.0
+        fv[14] = min([s / divisor for _, divisor, s in terms], default=0.0)
+    else:
+        pos = [(i, b) for i, b in enumerate(base) if b]
+        fv[8] = float(min([sum([min(e[i], b) for i, b in pos]) for e in min_base]))
+        cut = [sum([min(e[i], b) for i, b in pos]) for e, _, _ in terms]
+        fv[14] = min([(s - c) / divisor for c, (_, divisor, s) in zip(cut, terms)], default=0.0)
     fv[25] = float(state.boundary.mass)
     return tuple(fv)
 
@@ -131,47 +138,16 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
     minimum, or 0 when no monomial qualifies.  Excluding the monic z-power is
     essential: otherwise the minimum is trivially 0 on monic inputs.
 
-    Each monomial's facts come from simulator._monomial_facts.  One pass
-    over them gathers the ideal-wide counts, masks and minima, and the
-    minimal-degree z-free monomials (f1, f15, f19, f20); a short second pass,
-    once exc is known, gathers the monomials of degree exc (f2, f3, f10, f24,
-    f8) and the f14 terms.  The float conversions run in a fixed order (f7,
-    f11, then f0 to f24), so an out-of-range input always raises the same
-    OverflowError.
+    The ideal-wide counts, masks and minima, and the minimal-degree z-free
+    monomials (f1, f15, f19, f20), come from the chart's facts pass
+    (simulator._ideal_facts); a short second pass gathers the monomials of
+    degree exc (f2, f3, f10, f24, f8) and the f14 terms.  The float
+    conversions run in a fixed order (f7, f11, then f0 to f24), so an
+    out-of-range input always raises the same OverflowError.
     """
-    p = vars.char_p
-    facts = [_monomial_facts(m, p) for m in ideal.monomials]
-
-    low = monic = f1 = f16 = jac_low = math.inf
-    support = notdiv = base_support = 0
-    f5 = f13 = f18 = f20 = f23 = 0
-    for d, ez, _, sup, nd, mz, s5, s18, pb, jac, _ in facts:
-        support |= sup
-        notdiv |= nd
-        f5 += s5
-        f18 += s18
-        f23 += jac
-        if pb > f13:
-            f13 = pb
-        if jac and d < jac_low:
-            jac_low = d
-        if d < low:
-            low = d
-        if ez:
-            if mz and mz < monic:
-                monic = mz
-            if ez < f16:
-                f16 = ez
-        elif d < f1:
-            f1, f20, base_support = d, 1, sup
-        elif d == f1:
-            f20 += 1
-            base_support |= sup
-    # exc is the minimal pure z-order when a pure z-power exists
-    has_monic = monic != math.inf
-    f0 = exc = monic if has_monic else low
-    if f1 == math.inf:
-        f1 = 0
+    (_, exc, facts, support, notdiv, f1, f5, f13, f16, f18, f20, f23, jac_low, base_support,
+     has_monic) = _ideal_facts(ideal, vars)
+    f0 = exc
 
     f3 = touched = min_notdiv = 0
     f24 = math.inf
@@ -197,15 +173,13 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
         f7 = f0 / f1 if f1 > 0 else float(f0)
     else:
         f7 = 0.0
-    f9 = 1 if f16 == math.inf else 0
+    f9 = 0 if f16 else 1
     f10 = 0 if min_notdiv else 1
     f11 = float(f0) if f1 == 0 else 1.0 / (1.0 + abs(f0 - f1))
     f12 = (support & ~notdiv).bit_count()
     # f15 and f19 both count the base variables no minimal-degree z-free
     # monomial touches
     f15 = f19 = vars.dim - 1 - base_support.bit_count()
-    if f16 == math.inf:
-        f16 = 0
     f17 = support.bit_count()
     # f21 = C(N, j) - k, with N = f1 + n and j = min(f1, n), and C(N, j) >=
     # (N // j)^j: when that bound proves f21 past 2^1025, float(f21) must
@@ -219,7 +193,7 @@ def _ideal_features(ideal: IdealSpec, vars: VariableSet) -> tuple[tuple[float, .
         # passes the checks
         zero = _derived_state(ideal, _derived_boundary((0,) * vars.dim), vars)
         f21 = hilbert_samuel_base(zero)
-    f22 = jac_low - 1 if jac_low != math.inf else JACOBIAN_SENTINEL
+    f22 = jac_low - 1 if jac_low else JACOBIAN_SENTINEL
 
     values = (
         float(f0),

@@ -231,7 +231,10 @@ def audit_trajectory(
             if len(summaries) >= TAIL_SUMMARIES:
                 summaries.clear()
             summary = summaries[entry] = _tail_summary(run, *entry)
-        tail_flags, tail_improved, (normalizations, delays, increases, longer) = summary
+        elif summary[3] and len(summary[0]) < len(run):
+            # kept from a shorter run: walked on over the ranks it lacks
+            summary = summaries[entry] = _walk_tail(run, window, *summary)
+        tail_flags, tail_improved, (normalizations, delays, increases, longer), _ = summary
         good = len(tail_flags)
         if tail_len > good:
             rest = tail_len - good
@@ -281,23 +284,28 @@ def _structural(name: str, flags: tuple, improved: tuple) -> TrajectoryAudit:
 
 def _tail_summary(run: tuple, window: int, prev: tuple, best: tuple, gap: int, plateau: int):
     # The audit of a fixed-ideal tail's gated ranks entered from this state:
-    # (flags, best-so-far marks, events).  The flags and marks are those of
-    # the steps before the first malformed rank.  The events are the steps,
-    # in order, that break normalization, that are delayed, that increase,
-    # and that make a plateau longer than the entry plateau and every one
-    # before (by one each), so the counts of the first j steps are the events
-    # before j, the longest plateau past the entry plateau's length included.
-    # Every tail step reads the entry vector, with f9 = 0 (a run stops at
-    # monomial phase), so the rank's first component must be > 0, the delay
-    # runs to the end (no monomial entry), and no proxy drops
-    width = len(prev)
-    flags = []
-    improved = []
-    normalizations, delays, increases, longer = events = ([], [], [], [])
-    top = plateau
-    for t, rank in enumerate(run):
+    # (flags, best-so-far marks, events, walk).  The flags and marks are those
+    # of the steps before the first malformed rank.  The events are the steps,
+    # in order, that break normalization, that are delayed, that increase, and
+    # that make a plateau longer than the entry plateau and every one before
+    # (by one each), so the counts of the first j steps are the events before
+    # j, the longest plateau past the entry plateau's length included.  Every
+    # tail step reads the entry vector, with f9 = 0 (a run stops at monomial
+    # phase), so the rank's first component must be > 0, the delay runs to the
+    # end (no monomial entry), and no proxy drops
+    return _walk_tail(run, window, (), (), ((), (), (), ()), (prev, best, gap, plateau, plateau))
+
+
+def _walk_tail(run: tuple, window: int, flags, improved, events, walk):
+    # a summary of run[:len(flags)] walked on over the rest of the run from
+    # walk (last, best, gap, plateau, top), which is None past a bad rank
+    prev, best, gap, plateau, top = walk
+    width, start = len(prev), len(flags)
+    flags, improved = list(flags), list(improved)
+    normalizations, delays, increases, longer = events = tuple(list(e) for e in events)
+    for t, rank in enumerate(run[start:], start):
         if type(rank) is not tuple or len(rank) != width:
-            break
+            return tuple(flags), tuple(improved), events, None
         flag = 0
         if not rank[0] > 0:
             flag = FLAG_NORMALIZATION
@@ -322,7 +330,7 @@ def _tail_summary(run: tuple, window: int, prev: tuple, best: tuple, gap: int, p
         flags.append(flag)
         improved.append(not gap)
         prev = rank
-    return tuple(flags), tuple(improved), events
+    return tuple(flags), tuple(improved), events, (prev, best, gap, plateau, top)
 
 
 def check_determinism(rank_fn: Callable, fv: Sequence[float]) -> bool:
@@ -355,7 +363,7 @@ _held_stream = lru_cache(maxsize=MEMO_ENTRIES)(_stream)
 #: A tail run is the tuple of gated ranks of a fixed-ideal tail's steps, by
 #: (entry head bytes, entry mass as an int, exc), held as (run, summaries):
 #: the summaries map an entry state to the audit of the run from it
-#: (_tail_summary).  A longer tail replaces both.
+#: (_tail_summary).  A longer tail replaces both, keeping the summaries.
 _tables: dict = {}
 
 #: Entry-state summaries a tail run keeps; a run that holds this many
@@ -369,6 +377,7 @@ _CACHES = (
     ("rewrite", simulator._rewrite),
     ("runs", simulator._held_run),
     ("monomial_facts", simulator._monomial_facts),
+    ("ideal_facts", simulator._ideal_facts),
     ("ideal_features", features._ideal_features),
     ("streams", _held_stream),
 )
@@ -377,7 +386,7 @@ _CACHES = (
 def memos() -> dict[str, tuple]:
     """Each process-wide memo's (entries, bound, hits, misses), by name.
 
-    The six lru_caches report their cache_info().  "rank_tables" counts the
+    The seven lru_caches report their cache_info().  "rank_tables" counts the
     ranks of every live ranker's table, each of which a case leaves holding
     at most MONOMIAL_MEMO_ENTRIES, and counts no hits or misses; a table's
     tail runs hold ranks of the table, and their summaries the audit of a
@@ -458,8 +467,8 @@ def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, tables: tupl
     # past its length; a tail vector is built only for a ranker call.  A run
     # is held as (ranks, summaries): the audit keeps each entry state's
     # summary of the run in the dict, and an extended run is published whole
-    # with a fresh one, so threads never see a run change or read a summary
-    # of a shorter one
+    # with a copy, whose summaries the audit walks on over the new ranks first,
+    # so threads never see a run change or read a summary of a shorter one
     table, runs = tables
     trajectory = run_trajectory(initial, cfg.cap)
     vectors, keys = (_held_stream if cfg.cap <= DEFAULT_CAP else _stream)(trajectory)
@@ -474,7 +483,7 @@ def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, tables: tupl
         head = keys[-1][0]
         mass, exc = trajectory.prefix[-1].boundary.mass, trajectory.excs[-1]
         tail = (head, mass, exc)
-        run, summaries = runs.get(tail, ((), None))
+        run, summaries = runs.get(tail, ((), {}))
         if len(run) < tail_len:
             entry = vectors[-1][:25]
             more = []
@@ -484,7 +493,7 @@ def _evaluate(initial: State, ranker: Callable, cfg: HarnessConfig, tables: tupl
                 if rank is None:
                     rank = table[key] = _gated(ranker, entry + key[1:])
                 more.append(rank)
-            run, summaries = runs[tail] = (run + tuple(more), {})
+            run, summaries = runs[tail] = (run + tuple(more), dict(summaries))
         ranks.tail = (run, summaries, tail_len)
     if len(table) > MONOMIAL_MEMO_ENTRIES:
         _tables.pop(id(ranker), None)
@@ -589,9 +598,9 @@ def score_benchmark(
     plateau length): the run's step flags and best-so-far marks up to its
     first malformed rank, and the steps at which its normalization, delay,
     increase and longest-plateau counts grow.  A case reads its tail's flags
-    and marks off that summary as slices, and each count by one bisection.  A run's summaries are dropped when the run
-    is extended, with the table, in clear_memos(), and all at once when the
-    run holds TAIL_SUMMARIES of them.
+    and marks off that summary as slices, and each count by one bisection.
+    An extended run keeps its summaries, each walked on when next read; they go
+    with the table, in clear_memos(), and all at once past TAIL_SUMMARIES.
     """
     if not cases:
         raise ValueError("cannot score an empty suite")

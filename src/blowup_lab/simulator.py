@@ -104,12 +104,12 @@ def select_center(state: State) -> Center:
     3. Else (every monomial involves z) fall back to the divisor V(z).
 
     The rule reads no boundary: the center is read off the ideal's monomial
-    facts (the monomial_facts memo) by the one pass that also gives a step
-    its exceptional exponent.
+    facts by the one pass per ideal (the ideal_facts memo) that also gives a
+    step its exceptional exponent and the feature kernel its aggregates.
     """
     if not state.ideal:
         raise ValueError("cannot select a center for an empty ideal")
-    return _center_and_exc(state.ideal, state.vars)[0]
+    return _ideal_facts(state.ideal, state.vars)[0]
 
 
 def _nu_p(n: int, p: int) -> int:
@@ -159,33 +159,51 @@ def _monomial_facts(m: TaggedMonomial, p: int) -> tuple:
     )
 
 
-def _center_and_exc(ideal: IdealSpec, vars: VariableSet) -> tuple[Center, int]:
-    # select_center and exceptional_exponent of a nonempty ideal, read off its
-    # monomial facts in one pass: the first pure-base monomial of maximal
-    # exponent names its one variable (its support is one bit), else the first
-    # z-free monomial of minimal degree names its first base variable of
-    # maximal exponent
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _ideal_facts(ideal: IdealSpec, vars: VariableSet) -> tuple:
+    """The chart's and the feature kernel's one pass over a nonempty ideal's
+    monomial facts: (center, exc, the facts, the support and not-divisible
+    masks, f1, f5, f13, f16, f18, f20, f23, the least degree with a Jacobian
+    pair, the minimal-degree z-free support mask, whether a pure z-power
+    exists), ints only (0 for none), so no step meets a float's OverflowError."""
     p = vars.char_p
-    low = monic = free_low = math.inf
-    pure_exp = 0
+    facts = tuple([_monomial_facts(m, p) for m in ideal.monomials])
+    low = monic = f1 = f16 = jac_low = math.inf
+    support = notdiv = base_support = 0
+    f5 = f13 = f18 = f20 = f23 = 0
     pure = free = None
-    for m in ideal.monomials:
-        d, ez, base, sup, _, mz, _, _, pb, _, _ = _monomial_facts(m, p)
+    for d, ez, base, sup, nd, mz, s5, s18, pb, jac, _ in facts:
+        support |= sup
+        notdiv |= nd
+        f5 += s5
+        f18 += s18
+        f23 += jac
+        if pb > f13:
+            f13, pure = pb, sup
+        if jac and d < jac_low:
+            jac_low = d
         if d < low:
             low = d
-        if mz and mz < monic:
-            monic = mz
-        if pb > pure_exp:
-            pure_exp, pure = pb, sup
-        elif not ez and d < free_low:
-            free_low, free = d, base
+        if ez:
+            if mz and mz < monic:
+                monic = mz
+            if ez < f16:
+                f16 = ez
+        elif d < f1:
+            f1, f20, base_support, free = d, 1, sup, base
+        elif d == f1:
+            f20 += 1
+            base_support |= sup
     if pure is not None:
         center = Center(CODIM2, pure.bit_length() - 1)
     elif free is not None:
         center = Center(CODIM2, free.index(max(free)))
     else:
         center = Center(DIVISOR_Z, vars.elim_index)
-    return center, monic if monic != math.inf else low
+    has_monic, inf = monic != math.inf, math.inf
+    return (center, monic if has_monic else low, facts, support, notdiv, 0 if f1 == inf else f1,
+            f5, f13, 0 if f16 == inf else f16, f18, f20, f23, 0 if jac_low == inf else jac_low,
+            base_support, has_monic)
 
 
 def step(state: State) -> tuple[State, Center, int]:
@@ -218,31 +236,38 @@ def step(state: State) -> tuple[State, Center, int]:
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _chart(ideal: IdealSpec, vars: VariableSet) -> tuple[IdealSpec, Center, int]:
     # the part of step() that reads only the ideal: (rewritten ideal, center,
-    # exceptional exponent), the center and exponent read off the monomial
-    # facts by _center_and_exc, which leaves them warm for the feature kernel,
-    # and each monomial's image taken from _rewrite
+    # exc) off _ideal_facts, which it leaves warm for the feature kernel.  A
+    # monomial the center does not move (e_z == exc, or e_v == 0 and e_z <=
+    # exc) is its own image, else _rewrite's; if none moves, so is the ideal
     if not ideal:
         raise ValueError("exceptional exponent of an empty ideal is undefined")
-    center, exc = _center_and_exc(ideal, vars)
+    center, exc = _ideal_facts(ideal, vars)[:2]
     v = center.var_index
-    images = [_rewrite(m, v, exc) for m in ideal]
-    kept = tuple(m for m in images if m is not None)
+    kept = []
+    moved = False
+    for m in ideal.monomials:
+        e = m.exponents
+        if e[-1] != exc and (e[v] or e[-1] > exc):
+            moved = True
+            m = _rewrite(m, v, exc)
+            if m is None:
+                continue
+        kept.append(m)
+    if not moved:
+        return ideal, center, exc
     # the ideal is a State's, so its exponent vectors share one length; a
     # chart keeps every vector's length, and an empty image has none
-    return _derived_ideal(kept, ideal._lengths if kept else frozenset()), center, exc
+    return _derived_ideal(tuple(kept), ideal._lengths if kept else frozenset()), center, exc
 
 
 @lru_cache(maxsize=MONOMIAL_MEMO_ENTRIES)
 def _rewrite(m: TaggedMonomial, v: int, exc: int) -> Optional[TaggedMonomial]:
-    """m in the chart of variable v with exc divided out, as step() rewrites it.
+    """m in the chart of variable v with exc divided out, for an m it moves.
 
-    None when every exponent drops to 0, and m itself when its exponents do
-    not move; only the chart exponent can change.
+    None when every exponent drops to 0; only the chart exponent can change.
     """
     e = m.exponents
     ev = max(0, e[v] + e[-1] - exc)
-    if ev == e[v]:
-        return m
     image = e[:v] + (ev,) + e[v + 1 :]
     if not any(image):
         return None
@@ -324,11 +349,13 @@ def _stepped(initial: State, cap: int) -> Trajectory:
             states.append(current)
             centers.append(center)
             excs.append(exc)
-            if current.ideal == previous:
+            # a chart hit can hand back an equal ideal that is another object
+            ideal = current.ideal
+            if ideal is previous or (ideal._hash == previous._hash and ideal == previous):
                 if center.kind == DIVISOR_Z:
                     tail_len = cap - k - 1
                     break
-            elif is_monomial_phase(current.ideal):
+            elif is_monomial_phase(ideal):
                 monomial_step = k + 1
                 break
 

@@ -432,6 +432,39 @@ def test_ideal_spec_hash_is_rederived_after_pickling(vars4):
     assert lookup == "1"
 
 
+_UNPICKLE_VARS = """
+import pickle, sys
+from blowup_lab.core import VariableSet
+vars = pickle.loads(sys.stdin.buffer.read())
+print(hash("z"), {VariableSet(vars.names, vars.char_p): 1}.get(vars))
+"""
+
+
+def test_variable_set_hash_is_cached_and_rederived_after_pickling(vars4):
+    # the per-ideal memos hash (ideal, vars) on every lookup: the hash is
+    # derived once and follows the value, and a pickle does not carry it
+    same = VariableSet(("x", "y", "w", "z"), 3)
+    assert same == vars4 and hash(same) == hash(vars4) == vars4._hash
+    assert hash(VariableSet(("x", "y", "w", "z"), 5)) != hash(vars4)
+    loaded = pickle.loads(pickle.dumps(vars4))
+    assert loaded == vars4 and hash(loaded) == hash(vars4)
+
+    src = str(Path(blowup_lab.__file__).resolve().parents[1])
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE_VARS],
+        input=pickle.dumps(vars4),
+        env=env,
+        capture_output=True,
+        timeout=60,
+        check=True,
+    )
+    child_hash, lookup = child.stdout.decode().split()
+    assert int(child_hash) != hash("z")  # the child hashes strings differently
+    assert lookup == "1"
+
+
 def test_monomial_hash_tells_doubling_exponents_apart():
     # an int hashes to its value mod 2**61 - 1, so 2**k + 1 repeats its hash
     # every 61 steps of k; a memo of such monomials would compare every key

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 import time
 from itertools import combinations
 
@@ -437,6 +438,46 @@ def test_boundary_features_match_the_plain_kernel(names, poly, boundary, raises)
     assert _vector_outcome(extract_features, state) == want
     if raises is not None:
         assert want == raises
+
+
+# exponents and multiplicities from small to past the float range, so that
+# f8, f14 and f25 meet the range in either kernel
+_HUGE = st.one_of(st.sampled_from((10**20, 2**1024, 10**308, 10**400)), st.integers(0, 10**400))
+
+
+@st.composite
+def _bounded_states(draw):
+    # an ideal over dims 1-5 and a boundary with no, one, or two or more
+    # positive base multiplicities; half the examples stay small throughout
+    dim = draw(st.integers(1, 5))
+    names = tuple(f"x{i}" for i in range(dim - 1)) + ("z",)
+    vars = VariableSet(names, draw(st.sampled_from((2, 3, 5))))
+    small = st.integers(0, 9)
+    value = st.one_of(small, _HUGE) if draw(st.booleans()) else small
+    exponents = st.tuples(*[value] * dim).filter(any)
+    monomials = []
+    for e in draw(st.lists(exponents, min_size=1, max_size=5)):
+        monomials.append(TaggedMonomial(draw(st.sampled_from((infer_tag(e, vars), "mixed"))), e))
+    positive = draw(st.integers(0, dim - 1))
+    chosen = draw(st.permutations(range(dim - 1)))[:positive]
+    base = [draw(value.filter(bool)) if i in chosen else 0 for i in range(dim - 1)]
+    return State(IdealSpec(tuple(monomials)), Boundary(tuple(base) + (draw(value),)), vars)
+
+
+def _packed_outcome(kernel, state):
+    # the doubles' bytes, so -0.0 is told from 0.0, or the class and message
+    try:
+        return struct.pack(f"{NUM_FEATURES}d", *kernel(state))
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=_bounded_states())
+def test_drawn_boundary_features_match_the_plain_kernel(state):
+    # the one-variable path and the general loop, bit for bit and raise for
+    # raise, against the plain kernel's sums over every multiplicity
+    assert _packed_outcome(extract_features, state) == _packed_outcome(plain_features, state)
 
 
 def test_padic_depth_of_a_huge_exponent_is_cheap(vars4):
